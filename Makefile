@@ -1,4 +1,4 @@
-.PHONY: all build test test-parallel chaos-smoke chaos-restart check-invariants conformance bench-perf bench-parallel bench-cloud check doc fmt clean
+.PHONY: all build test chaos-smoke chaos-restart check-invariants conformance bench-perf bench-cloud check doc fmt clean
 
 all: build
 
@@ -7,14 +7,6 @@ build:
 
 test: build
 	dune runtest
-
-# The whole suite again with every platform forced into parallel mode
-# (4 worker domains, HYPERTEE_EXEC override): parallel execution is
-# bit-identical to deterministic mode by construction, so the exact
-# same assertions must hold. --force because dune caches runtest
-# results per build, not per environment.
-test-parallel: build
-	HYPERTEE_EXEC=parallel:4 dune runtest --force
 
 # Deterministic quick availability sweep: exercises the fault injector,
 # EMCall retry/timeout, the EMS watchdog and integrity containment.
@@ -42,15 +34,6 @@ bench-perf: build
 	dune exec bin/hypertee_cli.exe -- perf --quick --json BENCH_perf.json \
 		--baseline BENCH_perf.json --tolerance $(TOLERANCE)
 
-# bench-perf plus the domain-parallel comparison: scale-point
-# makespan and MEE bulk-pipeline throughput, single-domain vs fanned
-# over worker domains, with speedup ratios recorded alongside the
-# host block (the ratios only mean something relative to the
-# parallelism the machine actually offers).
-bench-parallel: build
-	dune exec bin/hypertee_cli.exe -- perf --quick --parallel --domains 4 --json BENCH_perf.json \
-		--baseline BENCH_perf.json --tolerance $(TOLERANCE)
-
 # Enclave-as-a-service SLO sweep: the multi-tenant cloud driver
 # (open-loop offered-load ladder + closed loop per shard count, warm
 # pool + admission control) writing BENCH_cloud.json. Every sweep
@@ -75,11 +58,11 @@ conformance: build
 	dune exec bin/hypertee_cli.exe -- conformance
 
 # The gate for a change: everything builds, the full test suite is
-# green in both execution modes, the chaos smoke sweep completes
+# green, the chaos smoke sweep completes
 # without a hang, the rolling restart recovers every shard with
 # nothing lost, the oracle/invariant pass holds, and the secure-
 # channel conformance vectors all pass.
-check: build test test-parallel chaos-smoke chaos-restart check-invariants conformance
+check: build test chaos-smoke chaos-restart check-invariants conformance
 
 # API reference from the .mli doc comments, built with odoc into
 # _build/default/_doc/_html. Skips with a notice when odoc is absent,

@@ -285,19 +285,11 @@ let chaos_cmd =
       & info [ "table" ] ~docv:"FILE"
           ~doc:"Also write the rolling-restart report table to $(docv).")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the rolling-restart platform ($(b,Config.domains)); the \
-             HYPERTEE_EXEC environment variable overrides this.")
-  in
-  let run seed ops smoke rolling table domains =
+  let run seed ops smoke rolling table =
     let ops = if smoke then 300 else ops in
     let seed = Int64.of_int seed in
     let rolling_pass ~ops =
-      let r = Hypertee_experiments.Chaos.rolling_restart ~seed ~ops ~domains () in
+      let r = Hypertee_experiments.Chaos.rolling_restart ~seed ~ops () in
       Hypertee_experiments.Chaos.print_restart r;
       (match table with
       | None -> ()
@@ -326,7 +318,7 @@ let chaos_cmd =
   in
   Cmd.v
     (Cmd.info "chaos" ~doc:"Availability sweep under deterministic fault injection")
-    Term.(const run $ seed_arg $ ops_arg $ smoke_arg $ rolling_arg $ table_arg $ domains_arg)
+    Term.(const run $ seed_arg $ ops_arg $ smoke_arg $ rolling_arg $ table_arg)
 
 (* --- scale --- *)
 
@@ -335,21 +327,12 @@ let scale_cmd =
     Arg.(value & opt int 256 & info [ "ops" ] ~docv:"N" ~doc:"EALLOC primitives per grid point.")
   in
   let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Quick sweep (64 ops per point).") in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains per sweep platform ($(b,Config.domains)); the results are \
-             identical by construction, only wall clock changes. The HYPERTEE_EXEC \
-             environment variable overrides this.")
-  in
-  let run seed ops smoke domains =
+  let run seed ops smoke =
     let ops = if smoke then 64 else ops in
     let seed = Int64.of_int seed in
-    Printf.printf "scalability sweep: ops=%d per point, seed=%Ld, domains=%d\n" ops seed domains;
+    Printf.printf "scalability sweep: ops=%d per point, seed=%Ld\n" ops seed;
     Printf.printf "one doorbell drains a batch; EMS shards serve disjoint enclave id classes\n";
-    Hypertee_experiments.Scale.print ~seed ~domains ~ops ();
+    Hypertee_experiments.Scale.print ~seed ~ops ();
     print_newline ();
     Hypertee_experiments.Scale.print_rebalance
       (Hypertee_experiments.Scale.rebalance ~seed ~ops ())
@@ -357,7 +340,7 @@ let scale_cmd =
   Cmd.v
     (Cmd.info "scale"
        ~doc:"Scalability sweep: CS cores x EMS shards x doorbell batch size")
-    Term.(const run $ seed_arg $ ops_arg $ smoke_arg $ domains_arg)
+    Term.(const run $ seed_arg $ ops_arg $ smoke_arg)
 
 (* --- cloud --- *)
 
@@ -370,21 +353,13 @@ let cloud_cmd =
       value & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write the SLO curves as JSON (BENCH_cloud.json).")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains per sweep platform ($(b,Config.domains)); results are identical \
-             by construction. The HYPERTEE_EXEC environment variable overrides this.")
-  in
-  let run seed quick json domains =
+  let run seed quick json =
     let seed = Int64.of_int seed in
-    Printf.printf "enclave-as-a-service sweep: seed=%Ld, domains=%d%s\n" seed domains
+    Printf.printf "enclave-as-a-service sweep: seed=%Ld%s\n" seed
       (if quick then " (quick)" else "");
     Printf.printf
       "sessions: EWARM warm pool (cold launch on miss) -> attest -> secure channel -> ERETIRE\n";
-    let outcome = Hypertee_experiments.Cloud.run ~seed ~quick ~domains () in
+    let outcome = Hypertee_experiments.Cloud.run ~seed ~quick () in
     Hypertee_experiments.Cloud.print outcome;
     (match json with
     | None -> ()
@@ -403,7 +378,7 @@ let cloud_cmd =
        ~doc:
          "Multi-tenant enclave-as-a-service load sweep: SLO curves, admission control, warm \
           pool")
-    Term.(const run $ seed_arg $ quick_arg $ json_arg $ domains_arg)
+    Term.(const run $ seed_arg $ quick_arg $ json_arg)
 
 (* --- check --- *)
 
@@ -508,20 +483,6 @@ let perf_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Also write the samples as a JSON array to $(docv).")
   in
-  let parallel_arg =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:
-            "Also benchmark domain-parallel execution: scale-point makespan and MEE bulk \
-             pipelines, sequential vs fanned over worker domains, with speedup ratios.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for --parallel (default: what the host recommends).")
-  in
   let baseline_arg =
     Arg.(
       value & opt (some string) None
@@ -540,7 +501,7 @@ let perf_cmd =
             "Allowed drop (percent) of a speedup ratio below the baseline before \
              --baseline fails, absorbing benchmark noise.")
   in
-  let run quick json parallel domains baseline tolerance =
+  let run quick json baseline tolerance =
     Printf.printf "wall-clock data-plane benchmark (%s windows)\n"
       (if quick then "quick" else "full");
     (* Load the baseline up front: --json and --baseline may name the
@@ -558,14 +519,6 @@ let perf_cmd =
         end
     in
     let samples = Hypertee_experiments.Perf.run ~quick () in
-    let samples =
-      if not parallel then samples
-      else begin
-        Printf.printf "parallel-execution benchmark (%d recommended domain(s) on this host)\n"
-          (Hypertee_util.Domain_pool.recommended_domains ());
-        samples @ Hypertee_experiments.Parallel_bench.run ~quick ?domains ()
-      end
-    in
     Hypertee_experiments.Perf.print samples;
     (match json with
     | None -> ()
@@ -594,9 +547,7 @@ let perf_cmd =
   Cmd.v
     (Cmd.info "perf"
        ~doc:"Wall-clock MB/s microbenchmarks of the crypto data plane")
-    Term.(
-      const run $ quick_arg $ json_arg $ parallel_arg $ domains_arg $ baseline_arg
-      $ tolerance_arg)
+    Term.(const run $ quick_arg $ json_arg $ baseline_arg $ tolerance_arg)
 
 let () =
   let doc = "HyperTEE: a decoupled TEE architecture simulator (MICRO 2024 reproduction)" in

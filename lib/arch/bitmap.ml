@@ -2,13 +2,6 @@ type t = {
   mem : Phys_mem.t;
   base : int; (* first frame of the bitmap region *)
   region : int; (* frames occupied by the bitmap *)
-  lock : Mutex.t;
-      (* Bits are packed eight frames to a byte, so [update] is a
-         read-modify-write of a byte shared between adjacent frames:
-         two shards flipping neighbouring frames' bits in parallel
-         would lose one flip without the lock. [get] stays lockless —
-         a single byte read observes its own frame's bit correctly
-         regardless of concurrent updates to sibling bits. *)
 }
 
 let bits_per_frame = Hypertee_util.Units.page_size * 8
@@ -22,8 +15,7 @@ let create mem =
     | Phys_mem.Free -> Phys_mem.set_owner mem f Phys_mem.Bitmap_region
     | _ -> invalid_arg "Bitmap.create: trailing frames already in use"
   done;
-  let t = { mem; base; region; lock = Mutex.create () } in
-  t
+  { mem; base; region }
 
 let base_frame t = t.base
 let region_frames t = t.region
@@ -41,7 +33,6 @@ let get t ~frame =
   Char.code (Bytes.get b 0) land (1 lsl bit) <> 0
 
 let update t ~frame f =
-  Mutex.protect t.lock @@ fun () ->
   let holder, off, bit = locate t frame in
   let b = Phys_mem.read_sub t.mem ~frame:holder ~off ~len:1 in
   let v = f (Char.code (Bytes.get b 0)) bit in

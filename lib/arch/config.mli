@@ -103,9 +103,9 @@ type t = {
   ems_memory_mb : int;  (** EMS private memory *)
   context_switch_hz : float;  (** CS OS scheduler tick *)
   domains : int;
-      (** OCaml domains the platform may use: 1 = deterministic
-          single-domain execution (the default), >1 = parallel
-          shard drains and crypto pipelines (see {!Hypertee_sim.Exec}) *)
+      (** OCaml domains the platform runs on. Must be 1: execution is
+          single-domain and [Platform.create] rejects any other value.
+          Kept so configurations that name it keep compiling. *)
 }
 
 (** 4 CS cores, 1 medium EMS core, crypto engine on, 256 MiB. *)

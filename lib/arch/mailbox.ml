@@ -21,12 +21,6 @@ type ('req, 'resp) t = {
   mutable dropped : int;
   mutable duplicated : int;
   mutable corrupt_detected : int;
-  lock : Mutex.t;
-      (* The gate posts and polls from its own domain while the
-         owning shard drains on another: every public operation runs
-         under this lock, which preserves the exactly-once retransmit
-         semantics unchanged (each operation was already atomic with
-         respect to the others in single-domain execution). *)
 }
 
 let create ?(depth = 64) () =
@@ -43,13 +37,11 @@ let create ?(depth = 64) () =
     dropped = 0;
     duplicated = 0;
     corrupt_detected = 0;
-    lock = Mutex.create ();
   }
 
 let set_fault_injector t inj = t.faults <- Some inj
 
 let send_request t ~sender_enclave body =
-  Mutex.protect t.lock @@ fun () ->
   let id = t.next_id in
   let packet = { request_id = id; sender_enclave; body } in
   if Hypertee_util.Ring_queue.push t.requests packet then begin
@@ -60,7 +52,6 @@ let send_request t ~sender_enclave body =
   else Error `Full
 
 let recv_request t =
-  Mutex.protect t.lock @@ fun () ->
   match Hypertee_util.Ring_queue.pop t.requests with
   | Some packet ->
     Hashtbl.remove t.queued packet.request_id;
@@ -98,7 +89,6 @@ let post t ~request_id resp =
     end
 
 let send_response t ~request_id resp =
-  Mutex.protect t.lock @@ fun () ->
   if not (Hashtbl.mem t.in_flight request_id) then Error `Unknown_or_answered
   else begin
     Hashtbl.remove t.in_flight request_id;
@@ -108,7 +98,6 @@ let send_response t ~request_id resp =
   end
 
 let poll_response t ~request_id =
-  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.responses request_id with
   | None -> None
   | Some slot ->
@@ -129,7 +118,6 @@ let poll_response t ~request_id =
     end
 
 let discard_response t ~request_id =
-  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.responses request_id with
   | None -> 0
   | Some slot ->
@@ -137,7 +125,6 @@ let discard_response t ~request_id =
     slot.copies
 
 let resend_request t ~request_id =
-  Mutex.protect t.lock @@ fun () ->
   if
     Hashtbl.mem t.responses request_id
     || Hashtbl.mem t.queued request_id
@@ -153,10 +140,8 @@ let resend_request t ~request_id =
     | None -> `Unknown
   end
 
-let pending_requests t =
-  Mutex.protect t.lock (fun () -> Hypertee_util.Ring_queue.length t.requests)
-
-let pending_responses t = Mutex.protect t.lock (fun () -> Hashtbl.length t.responses)
+let pending_requests t = Hypertee_util.Ring_queue.length t.requests
+let pending_responses t = Hashtbl.length t.responses
 let issued t = t.next_id - 1
 let dropped t = t.dropped
 let duplicated t = t.duplicated

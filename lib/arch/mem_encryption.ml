@@ -5,11 +5,11 @@ type slot = {
   raw : bytes;
 }
 
-(* Slot lifecycle. [Reserved] closes the allocation race the parallel
-   audit found: callers allocate with [find_free_slot] and only later
-   [program] the derived key, so without an intermediate state two
-   shards could claim the same KeyID. [find_free_slot] now atomically
-   reserves; [program] commits; [revoke] releases from either state. *)
+(* Slot lifecycle. Callers allocate with [find_free_slot] and only
+   later [program] the derived key, so without an intermediate
+   [Reserved] state two shards could claim the same KeyID.
+   [find_free_slot] reserves; [program] commits; [revoke] releases
+   from either state. *)
 type entry = Free | Reserved | Programmed of slot
 
 (* Per-line integrity state. [tag] is the 28-bit truncated SHA-3 MAC
@@ -32,20 +32,15 @@ type t = {
   mac_key : bytes; (* engine-internal MAC key *)
   mac_keyed : Hypertee_crypto.Keccak.keyed; (* post-key sponge snapshot *)
   reference_mac : bool; (* perf baseline: reference sponge, no cache *)
-  lock : Mutex.t; (* guards table transitions and macs *)
-  mutable pool : Hypertee_util.Domain_pool.t option;
   mutable faults : Hypertee_faults.Fault.t option;
-  (* Hot counters are atomics, not lock-guarded fields: the parallel
-     bulk pipelines bump them from worker domains while
-     [publish_metrics] snapshots them, and a mutex around each bump
-     would serialize the data plane for bookkeeping. *)
-  bit_flips : int Atomic.t;
-  stores : int Atomic.t;
-  loads : int Atomic.t;
-  range_loads : int Atomic.t;
-  range_updates : int Atomic.t;
-  mac_failures : int Atomic.t;
-  mac_cache_hits : int Atomic.t;
+  tweak : bytes; (* per-page nonce scratch, see [tweak_for] *)
+  mutable bit_flips : int;
+  mutable stores : int;
+  mutable loads : int;
+  mutable range_loads : int;
+  mutable range_updates : int;
+  mutable mac_failures : int;
+  mutable mac_cache_hits : int;
 }
 
 let create ?(reference_mac = false) ~slots () =
@@ -57,22 +52,20 @@ let create ?(reference_mac = false) ~slots () =
     mac_key;
     mac_keyed = Hypertee_crypto.Keccak.keyed_init ~key:mac_key;
     reference_mac;
-    lock = Mutex.create ();
-    pool = None;
     faults = None;
-    bit_flips = Atomic.make 0;
-    stores = Atomic.make 0;
-    loads = Atomic.make 0;
-    range_loads = Atomic.make 0;
-    range_updates = Atomic.make 0;
-    mac_failures = Atomic.make 0;
-    mac_cache_hits = Atomic.make 0;
+    tweak = Bytes.make 16 '\000';
+    bit_flips = 0;
+    stores = 0;
+    loads = 0;
+    range_loads = 0;
+    range_updates = 0;
+    mac_failures = 0;
+    mac_cache_hits = 0;
   }
 
 let set_fault_injector t inj = t.faults <- Some inj
-let set_pool t pool = t.pool <- Some pool
-let bit_flips t = t.bit_flips |> Atomic.get
-let mac_cache_hits t = t.mac_cache_hits |> Atomic.get
+let bit_flips t = t.bit_flips
+let mac_cache_hits t = t.mac_cache_hits
 
 let slots t = Array.length t.table
 
@@ -91,8 +84,8 @@ let check_key_id t key_id =
 
 (* Drop MAC state for lines under [key_id]: after revocation or
    reprogramming, stale MACs (and their cached verifications) must
-   not satisfy a check. Caller holds [t.lock]. *)
-let drop_macs_locked t ~key_id =
+   not satisfy a check. *)
+let drop_macs t ~key_id =
   let stale =
     Hashtbl.fold (fun (k, f) _ acc -> if k = key_id then (k, f) :: acc else acc) t.macs []
   in
@@ -101,22 +94,19 @@ let drop_macs_locked t ~key_id =
 let program t ~key_id key =
   check_key_id t key_id;
   if Bytes.length key <> 16 then invalid_arg "Mem_encryption.program: key must be 16 bytes";
-  Mutex.protect t.lock (fun () ->
-      (* Reprogramming over a live slot invalidates every line MACed
-         under the old key (normal flows revoke first; this is the
-         safety net the cache coherence rules rely on). *)
-      (match t.table.(key_id) with Programmed _ -> drop_macs_locked t ~key_id | _ -> ());
-      t.table.(key_id) <-
-        Programmed { key = Hypertee_crypto.Aes.expand key; raw = Bytes.copy key })
+  (* Reprogramming over a live slot invalidates every line MACed
+     under the old key (normal flows revoke first; this is the safety
+     net the cache coherence rules rely on). *)
+  (match t.table.(key_id) with Programmed _ -> drop_macs t ~key_id | _ -> ());
+  t.table.(key_id) <- Programmed { key = Hypertee_crypto.Aes.expand key; raw = Bytes.copy key }
 
 let revoke t ~key_id =
   check_key_id t key_id;
-  Mutex.protect t.lock (fun () ->
-      (match t.table.(key_id) with
-      | Programmed slot -> Hypertee_util.Bytes_ext.fill_zero slot.raw
-      | Reserved | Free -> ());
-      t.table.(key_id) <- Free;
-      drop_macs_locked t ~key_id)
+  (match t.table.(key_id) with
+  | Programmed slot -> Hypertee_util.Bytes_ext.fill_zero slot.raw
+  | Reserved | Free -> ());
+  t.table.(key_id) <- Free;
+  drop_macs t ~key_id
 
 let is_programmed t ~key_id =
   key_id > 0 && key_id < slots t
@@ -128,26 +118,20 @@ let slot_exn t key_id =
   | Programmed s -> s
   | Reserved | Free -> invalid_arg "Mem_encryption: KeyID not programmed"
 
-(* Per-domain tweak scratch: the page nonce depends only on the frame
-   number, so one reusable 16-byte buffer per domain serves every
-   slot (the per-slot buffer it replaces raced when two domains
-   touched pages under the same KeyID). *)
-let tweak_scratch : bytes Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Bytes.make 16 '\000')
-
-let tweak_for ~frame =
-  let tw = Domain.DLS.get tweak_scratch in
-  Hypertee_util.Bytes_ext.set_u64_be tw 8 (Int64.of_int frame);
-  tw
+(* The page nonce depends only on the frame number, so one reusable
+   16-byte buffer serves every slot; it is consumed by [Aes.ctr_into]
+   before the next call overwrites it. *)
+let tweak_for t ~frame =
+  Hypertee_util.Bytes_ext.set_u64_be t.tweak 8 (Int64.of_int frame);
+  t.tweak
 
 (* Record the line MAC over freshly produced ciphertext. [verified_v]
    carries the DRAM write version when the ciphertext lives in a
    tracked frame (the engine just produced those bytes, so they are
    verified by construction) and -1 for detached buffers. *)
 let record_line t ~key_id ~frame ~tag ~verified_v =
-  Atomic.incr t.stores;
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.macs (key_id, frame) { tag; verified_v })
+  t.stores <- t.stores + 1;
+  Hashtbl.replace t.macs (key_id, frame) { tag; verified_v }
 
 let store_into_v t ~key_id ~frame ~src ~dst ~verified_v =
   let len = Bytes.length src in
@@ -157,7 +141,7 @@ let store_into_v t ~key_id ~frame ~src ~dst ~verified_v =
   end
   else begin
     let slot = slot_exn t key_id in
-    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~src ~src_off:0 ~dst
+    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for t ~frame) ~src ~src_off:0 ~dst
       ~dst_off:0 len;
     record_line t ~key_id ~frame ~tag:(line_mac t dst) ~verified_v
   end
@@ -186,7 +170,7 @@ let maybe_flip t ~frame data =
   | Some inj ->
     let module F = Hypertee_faults.Fault in
     if Bytes.length data > 0 && F.fire inj F.Memory_bit_flip then begin
-      Atomic.incr t.bit_flips;
+      t.bit_flips <- t.bit_flips + 1;
       (* Journal the flip against its frame so the deep checker sweep
          can tell injected MAC failures from latent platform bugs. *)
       F.note_flip inj ~frame;
@@ -201,24 +185,16 @@ let maybe_flip t ~frame data =
 (* Verify the full ciphertext [data] against the stored line MAC and
    raise on mismatch. [mark] is the frame write version to cache on
    success (-1 = don't cache, for flipped copies and untracked
-   buffers). The sponge runs outside the lock; only the compare and
-   the cache update are serialized. *)
+   buffers). *)
 let verify_line t ~key_id ~frame ~mark data =
   let mac = line_mac t data in
-  let ok =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.macs (key_id, frame) with
-        | Some ln when ln.tag = mac ->
-          if mark >= 0 then ln.verified_v <- mark;
-          true
-        | Some _ | None ->
-          (* [None]: never stored under this key — decrypting
-             garbage; a real engine would also MAC-fault on
-             uninitialised lines. *)
-          Atomic.incr t.mac_failures;
-          false)
-  in
-  if not ok then raise (Integrity_violation { frame })
+  match Hashtbl.find_opt t.macs (key_id, frame) with
+  | Some ln when ln.tag = mac -> if mark >= 0 then ln.verified_v <- mark
+  | Some _ | None ->
+    (* [None]: never stored under this key — decrypting garbage; a
+       real engine would also MAC-fault on uninitialised lines. *)
+    t.mac_failures <- t.mac_failures + 1;
+    raise (Integrity_violation { frame })
 
 (* MAC-check the full ciphertext [data] as it arrives from DRAM and
    return the (possibly fault-flipped) buffer to decrypt from. Used
@@ -239,12 +215,11 @@ let checked_dram t ~key_id ~frame ~v src =
   let data, flipped = maybe_flip t ~frame src in
   let hit =
     (not flipped) && (not t.reference_mac)
-    && Mutex.protect t.lock (fun () ->
-           match Hashtbl.find_opt t.macs (key_id, frame) with
-           | Some ln -> ln.verified_v = v
-           | None -> false)
+    && match Hashtbl.find_opt t.macs (key_id, frame) with
+       | Some ln -> ln.verified_v = v
+       | None -> false
   in
-  if hit then Atomic.incr t.mac_cache_hits
+  if hit then t.mac_cache_hits <- t.mac_cache_hits + 1
   else verify_line t ~key_id ~frame ~mark:(if flipped then -1 else v) data;
   data
 
@@ -255,10 +230,10 @@ let load_into t ~key_id ~frame ~src ~dst =
     if dst != src then Bytes.blit src 0 dst 0 len
   end
   else begin
-    Atomic.incr t.loads;
+    t.loads <- t.loads + 1;
     let data = checked_ciphertext t ~key_id ~frame src in
     let slot = slot_exn t key_id in
-    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~src:data ~src_off:0 ~dst
+    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for t ~frame) ~src:data ~src_off:0 ~dst
       ~dst_off:0 len
   end
 
@@ -271,10 +246,10 @@ let load_range_into t ~key_id ~frame ~src ~off ~len dst ~dst_off =
     invalid_arg "Mem_encryption.load_range_into: bad slice";
   if key_id = 0 then Bytes.blit src off dst dst_off len
   else begin
-    Atomic.incr t.range_loads;
+    t.range_loads <- t.range_loads + 1;
     let data = checked_ciphertext t ~key_id ~frame src in
     let slot = slot_exn t key_id in
-    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~stream_off:off ~src:data
+    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for t ~frame) ~stream_off:off ~src:data
       ~src_off:off ~dst ~dst_off len
   end
 
@@ -297,12 +272,12 @@ let page_size = Hypertee_util.Units.page_size
 let read_page t mem ~key_id ~frame =
   if key_id = 0 then Phys_mem.read mem ~frame
   else begin
-    Atomic.incr t.loads;
+    t.loads <- t.loads + 1;
     let v = Phys_mem.version mem ~frame in
     let data = checked_dram t ~key_id ~frame ~v (Phys_mem.borrow_ro mem ~frame) in
     let slot = slot_exn t key_id in
     let pt = Bytes.create page_size in
-    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~src:data ~src_off:0
+    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for t ~frame) ~src:data ~src_off:0
       ~dst:pt ~dst_off:0 page_size;
     pt
   end
@@ -312,11 +287,11 @@ let read_range_into t mem ~key_id ~frame ~off ~len dst ~dst_off =
   else begin
     if off < 0 || len < 0 || off + len > page_size then
       invalid_arg "Mem_encryption.read_range_into: bad slice";
-    Atomic.incr t.range_loads;
+    t.range_loads <- t.range_loads + 1;
     let v = Phys_mem.version mem ~frame in
     let data = checked_dram t ~key_id ~frame ~v (Phys_mem.borrow_ro mem ~frame) in
     let slot = slot_exn t key_id in
-    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~stream_off:off ~src:data
+    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for t ~frame) ~stream_off:off ~src:data
       ~src_off:off ~dst ~dst_off len
   end
 
@@ -351,13 +326,13 @@ let update_range t mem ~key_id ~frame ~off ~src ~src_off ~len =
        outside [off, off+len) are untouched by the patch, only the
        dirty range's keystream needs regenerating — the new
        ciphertext is byte-identical to decrypt-blit-reencrypt. *)
-    Atomic.incr t.range_updates;
-    Atomic.incr t.loads;
+    t.range_updates <- t.range_updates + 1;
+    t.loads <- t.loads + 1;
     let v = Phys_mem.version mem ~frame in
     ignore (checked_dram t ~key_id ~frame ~v (Phys_mem.borrow_ro mem ~frame) : bytes);
     let slot = slot_exn t key_id in
     let dram = Phys_mem.borrow mem ~frame in
-    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for ~frame) ~stream_off:off ~src
+    Hypertee_crypto.Aes.ctr_into slot.key ~nonce:(tweak_for t ~frame) ~stream_off:off ~src
       ~src_off ~dst:dram ~dst_off:off len;
     record_line t ~key_id ~frame ~tag:(line_mac t dram)
       ~verified_v:(Phys_mem.version mem ~frame)
@@ -367,46 +342,30 @@ let update_range t mem ~key_id ~frame ~off ~src ~src_off ~len =
    the deep invariant sweep calls this first so its [read_page] pass
    re-verifies every mapped line instead of trusting the cache, and
    the perf harness uses it to measure the cold path. *)
-let flush_mac_cache t =
-  Mutex.protect t.lock (fun () -> Hashtbl.iter (fun _ ln -> ln.verified_v <- -1) t.macs)
+let flush_mac_cache t = Hashtbl.iter (fun _ ln -> ln.verified_v <- -1) t.macs
 
-(* --- Bulk page pipelines. Each page's encrypt/MAC (or MAC-check/
-   decrypt) is independent of every other page's, so with a worker
-   pool installed these fan the per-page work across domains; the
-   bytes written are identical to a sequential loop because nothing
-   in the transform depends on ordering. Without a pool they *are*
-   the sequential loop. --- *)
-
-let run_page_jobs t jobs =
-  match t.pool with
-  | Some pool -> Hypertee_util.Domain_pool.run_all pool jobs
-  | None -> Array.iter (fun job -> job ()) jobs
+(* --- Bulk page pipelines: the per-page loop over [write_page] and
+   [read_page]. --- *)
 
 (* [write_pages t mem ~key_id pages]: encrypt each [(frame, data)]
    into its frame's DRAM. Frames must be distinct. *)
 let write_pages t mem ~key_id pages =
-  run_page_jobs t
-    (Array.map (fun (frame, data) -> fun () -> write_page t mem ~key_id ~frame data) pages)
+  Array.iter (fun (frame, data) -> write_page t mem ~key_id ~frame data) pages
 
 (* [read_pages t mem ~key_id frames]: MAC-check and decrypt each
    frame into a fresh page, in input order. *)
-let read_pages t mem ~key_id frames =
-  let out = Array.make (Array.length frames) Bytes.empty in
-  run_page_jobs t
-    (Array.mapi (fun i frame -> fun () -> out.(i) <- read_page t mem ~key_id ~frame) frames);
-  out
+let read_pages t mem ~key_id frames = Array.map (fun frame -> read_page t mem ~key_id ~frame) frames
 
 let find_free_slot t =
-  Mutex.protect t.lock (fun () ->
-      let rec go i =
-        if i >= slots t then None
-        else if t.table.(i) = Free then begin
-          t.table.(i) <- Reserved;
-          Some i
-        end
-        else go (i + 1)
-      in
-      go 1)
+  let rec go i =
+    if i >= slots t then None
+    else if t.table.(i) = Free then begin
+      t.table.(i) <- Reserved;
+      Some i
+    end
+    else go (i + 1)
+  in
+  go 1
 
 let extra_ns (lat : Config.mem_latency) ~cs_ghz =
   float_of_int (lat.Config.encryption_extra + lat.Config.integrity_extra) /. cs_ghz
@@ -414,13 +373,10 @@ let extra_ns (lat : Config.mem_latency) ~cs_ghz =
 let publish_metrics t registry =
   let module M = Hypertee_obs.Metrics in
   let set name help v = M.set_counter (M.counter registry ~help ("mee." ^ name)) v in
-  (* Atomic snapshots: no engine lock taken, so a metrics scrape never
-     stalls (or races) the parallel data plane. *)
-  set "stores" "encrypted page stores" (Atomic.get t.stores);
-  set "loads" "decrypted (MAC-checked) page loads" (Atomic.get t.loads);
-  set "range_loads" "partial-page decrypts" (Atomic.get t.range_loads);
-  set "range_updates" "encrypted read-modify-writes" (Atomic.get t.range_updates);
-  set "mac_failures" "integrity-check failures" (Atomic.get t.mac_failures);
-  set "mac_cache_hits" "integrity checks skipped by the verified-line cache"
-    (Atomic.get t.mac_cache_hits);
-  set "bit_flips" "injected DRAM bit flips" (Atomic.get t.bit_flips)
+  set "stores" "encrypted page stores" t.stores;
+  set "loads" "decrypted (MAC-checked) page loads" t.loads;
+  set "range_loads" "partial-page decrypts" t.range_loads;
+  set "range_updates" "encrypted read-modify-writes" t.range_updates;
+  set "mac_failures" "integrity-check failures" t.mac_failures;
+  set "mac_cache_hits" "integrity checks skipped by the verified-line cache" t.mac_cache_hits;
+  set "bit_flips" "injected DRAM bit flips" t.bit_flips

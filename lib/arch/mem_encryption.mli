@@ -99,20 +99,15 @@ val update_range :
 (** [raw_ciphertext_view] — what a physical attacker dumping DRAM
     sees — is just the stored bytes; provided for attack tests. *)
 
-(** [find_free_slot t] atomically finds the lowest free KeyID and
-    *reserves* it: a concurrent caller cannot be handed the same
-    slot. The caller must then either [program] the slot (commit) or
+(** [find_free_slot t] finds the lowest free KeyID and *reserves*
+    it: a later allocation cannot be handed the same slot before it
+    is programmed. The caller must then either [program] the slot (commit) or
     [revoke] it (release, on any failure path between allocation and
     programming). *)
 val find_free_slot : t -> int option
 
-(** Install a worker pool: bulk pipelines ([write_pages],
-    [read_pages]) fan their per-page crypto across it. *)
-val set_pool : t -> Hypertee_util.Domain_pool.t -> unit
-
 (** [write_pages t mem ~key_id pages] encrypts each [(frame, data)]
-    pair into its frame's DRAM, in parallel when a pool is installed.
-    Frames must be distinct. Byte-identical to calling [write_page]
+    pair into its frame's DRAM. Frames must be distinct. Byte-identical to calling [write_page]
     in a loop. *)
 val write_pages : t -> Phys_mem.t -> key_id:int -> (int * bytes) array -> unit
 
@@ -143,6 +138,5 @@ val extra_ns : Config.mem_latency -> cs_ghz:float -> float
 
 (** Snapshot engine counters (stores, loads, range ops, MAC
     failures, cache hits, bit flips) into a metrics registry under
-    [mee.*]. Counters are atomics, so the snapshot is race-free
-    against concurrent bulk pipelines and takes no engine lock. *)
+    [mee.*]. *)
 val publish_metrics : t -> Hypertee_obs.Metrics.t -> unit

@@ -14,8 +14,7 @@
      speedup.
 
    The reused scratch buffers follow the same convention as [Keccak]:
-   one private set per domain in domain-local storage, so hot paths
-   stay allocation-free and parallel MEE workers never share them. *)
+   one module-level set, so hot paths stay allocation-free. *)
 
 let block_size = 16
 
@@ -281,9 +280,8 @@ let encrypt_words key src ~src_off (out : int array) =
     (get_word src (src_off + 12) lxor rk.(3))
     out
 
-(* Reused scratch for the block/CTR/CBC paths, one set per domain:
-   keeps these paths allocation-free while letting the parallel MEE
-   pipeline encrypt pages on every worker domain at once. *)
+(* Reused scratch for the block/CTR/CBC paths: keeps these paths
+   allocation-free. *)
 type scratch = {
   block_words : int array;
   ctr_counter : bytes;
@@ -292,21 +290,20 @@ type scratch = {
   cbc_block : bytes;
 }
 
-let scratch : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        block_words = Array.make 4 0;
-        ctr_counter = Bytes.create 16;
-        ctr_words = Array.make 4 0;
-        page_nonce = Bytes.make 16 '\000';
-        cbc_block = Bytes.create 16;
-      })
+let scratch =
+  {
+    block_words = Array.make 4 0;
+    ctr_counter = Bytes.create 16;
+    ctr_words = Array.make 4 0;
+    page_nonce = Bytes.make 16 '\000';
+    cbc_block = Bytes.create 16;
+  }
 
 let encrypt_block_into key src ~src_off dst ~dst_off =
   if src_off < 0 || src_off + 16 > Bytes.length src
      || dst_off < 0 || dst_off + 16 > Bytes.length dst
   then invalid_arg "Aes.encrypt_block_into: block out of bounds";
-  let block_words = (Domain.DLS.get scratch).block_words in
+  let block_words = scratch.block_words in
   encrypt_words key src ~src_off block_words;
   Bytes.set_int32_be dst dst_off (Int32.of_int block_words.(0));
   Bytes.set_int32_be dst (dst_off + 4) (Int32.of_int block_words.(1));
@@ -357,7 +354,7 @@ let ctr_into key ~nonce ?(stream_off = 0) ~src ~src_off ~dst ~dst_off len =
      || src_off + len > Bytes.length src
      || dst_off + len > Bytes.length dst
   then invalid_arg "Aes.ctr_into: slice out of bounds";
-  let { ctr_counter; ctr_words; _ } = Domain.DLS.get scratch in
+  let { ctr_counter; ctr_words; _ } = scratch in
   Bytes.blit nonce 0 ctr_counter 0 16;
   advance ctr_counter (stream_off / 16);
   let lead = stream_off mod 16 in
@@ -427,7 +424,7 @@ let ctr_reference key ~nonce data =
    the low 8 bytes of a reusable nonce buffer. --- *)
 
 let set_page_nonce ~page_number =
-  let page_nonce = (Domain.DLS.get scratch).page_nonce in
+  let page_nonce = scratch.page_nonce in
   Hypertee_util.Bytes_ext.set_u64_be page_nonce 8 (Int64.of_int page_number);
   page_nonce
 
@@ -443,12 +440,12 @@ let encrypt_page key ~page_number data =
 
 let decrypt_page = encrypt_page
 
-(* --- CBC-MAC. One block of domain-local scratch; the accumulator
+(* --- CBC-MAC. One block of module-level scratch; the accumulator
    doubles as the output, so the whole MAC performs a single
    allocation. --- *)
 
 let cbc_mac key data =
-  let cbc_block = (Domain.DLS.get scratch).cbc_block in
+  let cbc_block = scratch.cbc_block in
   let len = Bytes.length data in
   let blocks = (len + 15) / 16 in
   let acc = Bytes.make 16 '\000' in

@@ -1,23 +1,15 @@
 let block = 64 (* SHA-256 block size *)
 
-(* Reused pad buffer and contexts, one set per domain: the padded key
-   is XORed to the ipad in place, then flipped to the opad by XORing
-   with 0x36 lxor 0x5c. Only the inner digest and the result
-   allocate. Domain-local storage keeps the reuse while letting
-   parallel shard drains derive keys concurrently. *)
+(* Reused pad buffer and contexts: the padded key is XORed to the
+   ipad in place, then flipped to the opad by XORing with
+   0x36 lxor 0x5c. Only the result allocates. *)
 type scratch = { pad : bytes; inner : Sha256.ctx; outer : Sha256.ctx; inner_digest : bytes }
 
-let scratch : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        pad = Bytes.create block;
-        inner = Sha256.init ();
-        outer = Sha256.init ();
-        inner_digest = Bytes.create 32;
-      })
+let scratch =
+  { pad = Bytes.create block; inner = Sha256.init (); outer = Sha256.init (); inner_digest = Bytes.create 32 }
 
 let hmac ~key msg =
-  let { pad; inner; outer; inner_digest } = Domain.DLS.get scratch in
+  let { pad; inner; outer; inner_digest } = scratch in
   let key =
     if Bytes.length key > block then Sha256.digest key else key
   in

@@ -15,9 +15,8 @@
      [Reference]: the qcheck oracle and the perf-harness baseline
      (the analogue of [Aes.ctr_reference]).
 
-   Sponge scratch lives in domain-local storage, one private set per
-   domain, so parallel MEE workers MAC pages concurrently without
-   sharing state. *)
+   Sponge scratch is one module-level record per implementation,
+   reset at the start of every call. *)
 
 let rate_bytes = 136 (* 1088 bits *)
 
@@ -60,8 +59,7 @@ module Reference = struct
     else Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
 
   (* All mutable sponge state — permutation scratch, lanes, partial
-     block, MAC digest buffer — lives in one record held in
-     domain-local storage. *)
+     block, MAC digest buffer — lives in one module-level record. *)
   type sponge = {
     c : int64 array;
     d : int64 array;
@@ -72,17 +70,16 @@ module Reference = struct
     mac_digest : bytes;
   }
 
-  let sponge : sponge Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        {
-          c = Array.make 5 0L;
-          d = Array.make 5 0L;
-          b = Array.make 25 0L;
-          st = Array.make 25 0L;
-          partial = Bytes.create rate_bytes;
-          partial_len = 0;
-          mac_digest = Bytes.create 32;
-        })
+  let sponge =
+    {
+      c = Array.make 5 0L;
+      d = Array.make 5 0L;
+      b = Array.make 25 0L;
+      st = Array.make 25 0L;
+      partial = Bytes.create rate_bytes;
+      partial_len = 0;
+      mac_digest = Bytes.create 32;
+    }
 
   let keccak_f { c; d; b; _ } state =
     for round = 0 to 23 do
@@ -167,20 +164,18 @@ module Reference = struct
     done
 
   let sha3_256 msg =
-    let sp = Domain.DLS.get sponge in
-    sponge_reset sp;
-    absorb sp msg ~off:0 ~len:(Bytes.length msg);
+    sponge_reset sponge;
+    absorb sponge msg ~off:0 ~len:(Bytes.length msg);
     let out = Bytes.create 32 in
-    finalize_into sp out ~off:0;
+    finalize_into sponge out ~off:0;
     out
 
   let mac_28bit ~key data =
-    let sp = Domain.DLS.get sponge in
-    sponge_reset sp;
-    absorb sp key ~off:0 ~len:(Bytes.length key);
-    absorb sp data ~off:0 ~len:(Bytes.length data);
-    finalize_into sp sp.mac_digest ~off:0;
-    tag_of_digest sp.mac_digest
+    sponge_reset sponge;
+    absorb sponge key ~off:0 ~len:(Bytes.length key);
+    absorb sponge data ~off:0 ~len:(Bytes.length data);
+    finalize_into sponge sponge.mac_digest ~off:0;
+    tag_of_digest sponge.mac_digest
 end
 
 (* ===== Fast path ===== *)
@@ -350,7 +345,7 @@ let keccak_p (st : int array) =
   done
 
 (* Fast sponge: 50 immediate-int lane halves plus the partial-block
-   and digest scratch, one private record per domain (hoisted out of
+   and digest scratch, one module-level record (hoisted out of
    the per-call path — [keccak_p] runs once per 136 absorbed bytes,
    so per-call allocation would dominate the page-MAC path). *)
 type sponge = {
@@ -360,14 +355,8 @@ type sponge = {
   mac_digest : bytes;
 }
 
-let sponge : sponge Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        st = Array.make 50 0;
-        partial = Bytes.create rate_bytes;
-        partial_len = 0;
-        mac_digest = Bytes.create 32;
-      })
+let sponge =
+  { st = Array.make 50 0; partial = Bytes.create rate_bytes; partial_len = 0; mac_digest = Bytes.create 32 }
 
 let sponge_reset sp =
   Array.fill sp.st 0 50 0;
@@ -432,11 +421,10 @@ let finalize_into sp out ~off =
   done
 
 let sha3_256 msg =
-  let sp = Domain.DLS.get sponge in
-  sponge_reset sp;
-  absorb sp msg ~off:0 ~len:(Bytes.length msg);
+  sponge_reset sponge;
+  absorb sponge msg ~off:0 ~len:(Bytes.length msg);
   let out = Bytes.create 32 in
-  finalize_into sp out ~off:0;
+  finalize_into sponge out ~off:0;
   out
 
 let sha3_256_string s = sha3_256 (Bytes.of_string s)
@@ -444,14 +432,13 @@ let sha3_256_string s = sha3_256 (Bytes.of_string s)
 let mac_28bit ~key data =
   (* Streaming key || data through the sponge is byte-identical to
      hashing their concatenation, minus the concat buffer. The digest
-     lands in the domain-local scratch: the tag is an int, so nothing
+     lands in the sponge scratch: the tag is an int, so nothing
      the caller sees aliases that buffer. *)
-  let sp = Domain.DLS.get sponge in
-  sponge_reset sp;
-  absorb sp key ~off:0 ~len:(Bytes.length key);
-  absorb sp data ~off:0 ~len:(Bytes.length data);
-  finalize_into sp sp.mac_digest ~off:0;
-  tag_of_digest sp.mac_digest
+  sponge_reset sponge;
+  absorb sponge key ~off:0 ~len:(Bytes.length key);
+  absorb sponge data ~off:0 ~len:(Bytes.length data);
+  finalize_into sponge sponge.mac_digest ~off:0;
+  tag_of_digest sponge.mac_digest
 
 (* --- Keyed-MAC snapshots. The MEE MACs every line under one engine
    key, so instead of re-absorbing the key per call it captures the
@@ -467,25 +454,22 @@ type keyed = {
 }
 
 let keyed_init ~key =
-  let sp = Domain.DLS.get sponge in
-  sponge_reset sp;
-  absorb sp key ~off:0 ~len:(Bytes.length key);
-  { kst = Array.copy sp.st; kpartial = Bytes.copy sp.partial; kpartial_len = sp.partial_len }
+  sponge_reset sponge;
+  absorb sponge key ~off:0 ~len:(Bytes.length key);
+  { kst = Array.copy sponge.st; kpartial = Bytes.copy sponge.partial; kpartial_len = sponge.partial_len }
 
 let mac_28bit_keyed keyed data =
-  let sp = Domain.DLS.get sponge in
-  Array.blit keyed.kst 0 sp.st 0 50;
-  if keyed.kpartial_len > 0 then Bytes.blit keyed.kpartial 0 sp.partial 0 keyed.kpartial_len;
-  sp.partial_len <- keyed.kpartial_len;
-  absorb sp data ~off:0 ~len:(Bytes.length data);
-  finalize_into sp sp.mac_digest ~off:0;
-  tag_of_digest sp.mac_digest
+  Array.blit keyed.kst 0 sponge.st 0 50;
+  if keyed.kpartial_len > 0 then Bytes.blit keyed.kpartial 0 sponge.partial 0 keyed.kpartial_len;
+  sponge.partial_len <- keyed.kpartial_len;
+  absorb sponge data ~off:0 ~len:(Bytes.length data);
+  finalize_into sponge sponge.mac_digest ~off:0;
+  tag_of_digest sponge.mac_digest
 
 let mac16_keyed_into keyed data ~off ~len tag ~tag_off =
-  let sp = Domain.DLS.get sponge in
-  Array.blit keyed.kst 0 sp.st 0 50;
-  if keyed.kpartial_len > 0 then Bytes.blit keyed.kpartial 0 sp.partial 0 keyed.kpartial_len;
-  sp.partial_len <- keyed.kpartial_len;
-  absorb sp data ~off ~len;
-  finalize_into sp sp.mac_digest ~off:0;
-  Bytes.blit sp.mac_digest 0 tag tag_off 16
+  Array.blit keyed.kst 0 sponge.st 0 50;
+  if keyed.kpartial_len > 0 then Bytes.blit keyed.kpartial 0 sponge.partial 0 keyed.kpartial_len;
+  sponge.partial_len <- keyed.kpartial_len;
+  absorb sponge data ~off ~len;
+  finalize_into sponge sponge.mac_digest ~off:0;
+  Bytes.blit sponge.mac_digest 0 tag tag_off 16

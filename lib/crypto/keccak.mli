@@ -26,8 +26,7 @@ val mac_28bit : key:bytes -> bytes -> int
 (** A sponge snapshot taken right after absorbing a MAC key:
     replaying it skips the per-call key absorption, so a caller that
     MACs many lines under one key (the memory-integrity engine) pays
-    for the key exactly once. Immutable once built; safe to share
-    across domains (each call replays into domain-local scratch). *)
+    for the key exactly once. Immutable once built. *)
 type keyed
 
 (** [keyed_init ~key] captures the post-key sponge state. *)

@@ -118,13 +118,10 @@ let update ctx b = update_sub ctx b ~off:0 ~len:(Bytes.length b)
    [update_sub]. *)
 let feed_sub = update_sub
 
-(* Padding scratch: at most 64 pad bytes plus the 8-byte length.
-   Domain-local so concurrent finalizes (parallel Merkle leaves, MEE
-   workers) each pad in their own buffer. *)
-let pad_scratch : bytes Domain.DLS.key = Domain.DLS.new_key (fun () -> Bytes.create 72)
+(* Padding scratch: at most 64 pad bytes plus the 8-byte length. *)
+let pad_scratch = Bytes.create 72
 
 let finalize_into ctx dst ~off =
-  let pad_scratch = Domain.DLS.get pad_scratch in
   if off < 0 || off + 32 > Bytes.length dst then
     invalid_arg "Sha256.finalize_into: digest out of bounds";
   let bit_len = Int64.mul (Int64.of_int ctx.total) 8L in

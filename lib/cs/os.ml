@@ -14,17 +14,12 @@ type t = {
   mutable next_pid : int;
   mutable procs : process list;
   mutable ems_refills : int;
-  lock : Mutex.t;
-      (* The CS OS free list is the one allocator every shard's pool
-         refills from: find_free + set_owner must be atomic or two
-         shards draining in parallel can be handed the same frame. *)
 }
 
-let create mem = { mem; next_pid = 1; procs = []; ems_refills = 0; lock = Mutex.create () }
+let create mem = { mem; next_pid = 1; procs = []; ems_refills = 0 }
 let mem t = t.mem
 
 let alloc_frames t ~n =
-  Mutex.protect t.lock @@ fun () ->
   match Phys_mem.find_free t.mem ~n with
   | Some frames ->
     List.iter (fun f -> Phys_mem.set_owner t.mem f Phys_mem.Cs_os) frames;
@@ -43,7 +38,6 @@ let alloc_frames t ~n =
     take n)
 
 let free_frames t ~frames =
-  Mutex.protect t.lock @@ fun () ->
   List.iter
     (fun f ->
       Phys_mem.zero t.mem ~frame:f;
@@ -53,12 +47,11 @@ let free_frames t ~frames =
 let ems_refill_requests t = t.ems_refills
 
 let pool_request t ~n =
-  Mutex.protect t.lock (fun () -> t.ems_refills <- t.ems_refills + 1);
+  t.ems_refills <- t.ems_refills + 1;
   alloc_frames t ~n
 
 let pool_return t ~frames =
   (* EMS already zeroed and freed ownership; just fold them back. *)
-  Mutex.protect t.lock @@ fun () ->
   List.iter
     (fun f -> if Phys_mem.owner t.mem f = Phys_mem.Free then () else Phys_mem.set_owner t.mem f Phys_mem.Free)
     frames

@@ -57,10 +57,9 @@ let store_page t cvm ~page data =
   let frame = cvm.frames.(page) in
   Mem_encryption.write_page (mee t) (mem t) ~key_id:cvm.key_id ~frame data
 
-(* Reused page scratch for bulk image/snapshot streaming, one page
-   per domain (consumed before the next call on that domain). *)
-let page_scratch_key : bytes Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Bytes.make page_size '\000')
+(* Reused page scratch for bulk image/snapshot streaming (consumed
+   before the next call overwrites it). *)
+let page_scratch = Bytes.make page_size '\000'
 
 let launch t ~vcpus ~memory_pages ~image =
   if vcpus <= 0 || memory_pages <= 0 then Error "bad CVM dimensions"
@@ -98,7 +97,6 @@ let launch t ~vcpus ~memory_pages ~image =
         (* Load the image page by page through the engine. *)
         let pages = (Bytes.length image + page_size - 1) / page_size in
         for p = 0 to Array.length frames - 1 do
-          let page_scratch = Domain.DLS.get page_scratch_key in
           Bytes.fill page_scratch 0 page_size '\000';
           if p < pages then begin
             let off = p * page_size in
@@ -192,7 +190,6 @@ let snapshot t id =
   let key = Hypertee_crypto.Aes.expand key_bytes in
   let n = Array.length cvm.frames in
   let encrypt_page p =
-    let page_scratch = Domain.DLS.get page_scratch_key in
     let frame = cvm.frames.(p) in
     (* Decrypt into scratch, re-encrypt under the snapshot key into
        the retained blob: one allocation per page instead of two. *)
@@ -204,16 +201,9 @@ let snapshot t id =
       ~dst:ct ~dst_off:0 page_size;
     ct
   in
-  (* Pages are independent (per-domain scratch, distinct frames):
-     fan out over the platform's worker pool when one is installed. *)
-  let dpool = Hypertee.Platform.pool t.platform in
-  let encrypted_pages =
-    match dpool with
-    | Some dp -> Hypertee_util.Domain_pool.map dp encrypt_page (Array.init n Fun.id)
-    | None -> Array.init n encrypt_page
-  in
+  let encrypted_pages = Array.init n encrypt_page in
   (* Integrity root over the *ciphertext* (encrypt-then-MAC shape). *)
-  let tree = Hypertee_crypto.Merkle.build ?pool:dpool (Array.to_list encrypted_pages) in
+  let tree = Hypertee_crypto.Merkle.build (Array.to_list encrypted_pages) in
   cvm.snapshot_key <- Some key_bytes;
   cvm.snapshot_root <- Some (Hypertee_crypto.Merkle.root tree);
   Ok { cvm = id; encrypted_pages; vcpus = cvm.vcpus }
@@ -225,10 +215,7 @@ let restore_with t snap ~key_bytes ~root ~measurement =
   if n = 0 then Error "empty snapshot"
   else begin
     (* Verify every page against the root before touching any state. *)
-    let dpool = Hypertee.Platform.pool t.platform in
-    let tree =
-      Hypertee_crypto.Merkle.build ?pool:dpool (Array.to_list snap.encrypted_pages)
-    in
+    let tree = Hypertee_crypto.Merkle.build (Array.to_list snap.encrypted_pages) in
     if not (Hypertee_util.Bytes_ext.equal_ct (Hypertee_crypto.Merkle.root tree) root) then begin
       t.tamper_detections <- t.tamper_detections + 1;
       Error "snapshot integrity verification failed"
@@ -264,20 +251,12 @@ let restore_with t snap ~key_bytes ~root ~measurement =
               snapshot_root = Some root;
             }
           in
-          let fill_page p =
-            let page_scratch = Domain.DLS.get page_scratch_key in
+          for p = 0 to n - 1 do
             Hypertee_crypto.Aes.decrypt_page_into key ~page_number:p
               ~src:snap.encrypted_pages.(p) ~src_off:0 ~dst:page_scratch ~dst_off:0
               page_size;
             store_page t cvm ~page:p page_scratch
-          in
-          (match dpool with
-          | Some dp ->
-            Hypertee_util.Domain_pool.run_all dp (Array.init n (fun p () -> fill_page p))
-          | None ->
-            for p = 0 to n - 1 do
-              fill_page p
-            done);
+          done;
           t.next_id <- id + 1;
           Hashtbl.replace t.cvms id cvm;
           Ok id)

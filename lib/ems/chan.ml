@@ -1,4 +1,4 @@
-(* Platform-shared secure-channel fabric: one mutex-guarded table of
+(* Platform-shared secure-channel fabric: one table of
    channel control blocks that every EMS shard reads and writes, so a
    channel's endpoints can sit on different shards (the fabric is the
    cross-shard transport). Channel ids are minted with the same
@@ -29,7 +29,6 @@ type entry = {
 }
 
 type t = {
-  mutex : Mutex.t;
   entries : (int, entry) Hashtbl.t;
   mints : int array;  (* next chan id per shard *)
   shards : int;
@@ -47,7 +46,6 @@ let queue_cap = 64
 let create ~shards =
   if shards < 1 then invalid_arg "Chan.create: shards must be >= 1";
   {
-    mutex = Mutex.create ();
     entries = Hashtbl.create 32;
     mints = Array.init shards (fun s -> s + 1);
     shards;
@@ -60,38 +58,30 @@ let create ~shards =
     faults_injected = 0;
   }
 
-let set_injector t inj =
-  Mutex.lock t.mutex;
-  t.injector <- inj;
-  Mutex.unlock t.mutex
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let set_injector t inj = t.injector <- inj
 
 let home_of t chan = (chan - 1) mod t.shards
 
 let open_ t ~shard ~listener ~initiator ~binding_of =
-  locked t (fun () ->
-      let chan = t.mints.(shard) in
-      t.mints.(shard) <- chan + t.shards;
-      let binding = binding_of chan in
-      let entry =
-        {
-          chan;
-          home = shard;
-          listener;
-          initiator;
-          binding;
-          accepted = false;
-          closed = false;
-          to_listener = [];
-          to_initiator = [];
-        }
-      in
-      Hashtbl.replace t.entries chan entry;
-      t.opened <- t.opened + 1;
-      (chan, Bytes.copy binding))
+  let chan = t.mints.(shard) in
+  t.mints.(shard) <- chan + t.shards;
+  let binding = binding_of chan in
+  let entry =
+    {
+      chan;
+      home = shard;
+      listener;
+      initiator;
+      binding;
+      accepted = false;
+      closed = false;
+      to_listener = [];
+      to_initiator = [];
+    }
+  in
+  Hashtbl.replace t.entries chan entry;
+  t.opened <- t.opened + 1;
+  (chan, Bytes.copy binding)
 
 let find t chan =
   match Hashtbl.find_opt t.entries chan with
@@ -99,18 +89,17 @@ let find t chan =
   | _ -> Error Types.No_such_channel
 
 let accept t ~chan ~enclave =
-  locked t (fun () ->
-      match find t chan with
-      | Error _ as e -> e
-      | Ok e ->
-        if e.listener <> enclave then
-          Error (Types.Permission_denied "channel is not listed for this enclave")
-        else if e.accepted then Error (Types.Bad_state "channel already accepted")
-        else begin
-          e.accepted <- true;
-          t.accepted_n <- t.accepted_n + 1;
-          Ok (Bytes.copy e.binding)
-        end)
+  match find t chan with
+  | Error _ as e -> e
+  | Ok e ->
+    if e.listener <> enclave then
+      Error (Types.Permission_denied "channel is not listed for this enclave")
+    else if e.accepted then Error (Types.Bad_state "channel already accepted")
+    else begin
+      e.accepted <- true;
+      t.accepted_n <- t.accepted_n + 1;
+      Ok (Bytes.copy e.binding)
+    end
 
 (* Which queue a sender writes into: the initiator endpoint writes
    toward the listener, the listener writes toward the initiator. *)
@@ -168,49 +157,47 @@ let push t q seg =
   else q @ [ seg ]
 
 let send t ~chan ~sender ~seg =
-  locked t (fun () ->
-      match find t chan with
-      | Error _ as e -> e
-      | Ok e -> (
-        if Bytes.length seg = 0 || Bytes.length seg > 1024 then
-          Error (Types.Invalid_argument_ "segment size out of range")
-        else
-          match direction e ~sender with
-          | Error _ as err -> err
-          | Ok `To_listener ->
-            if List.length e.to_listener >= queue_cap then
-              Error (Types.Invalid_argument_ "channel queue full")
-            else begin
-              e.to_listener <- push t e.to_listener seg;
-              t.segs_queued <- t.segs_queued + 1;
-              Ok ()
-            end
-          | Ok `To_initiator ->
-            if List.length e.to_initiator >= queue_cap then
-              Error (Types.Invalid_argument_ "channel queue full")
-            else begin
-              e.to_initiator <- push t e.to_initiator seg;
-              t.segs_queued <- t.segs_queued + 1;
-              Ok ()
-            end))
+  match find t chan with
+  | Error _ as e -> e
+  | Ok e -> (
+    if Bytes.length seg = 0 || Bytes.length seg > 1024 then
+      Error (Types.Invalid_argument_ "segment size out of range")
+    else
+      match direction e ~sender with
+      | Error _ as err -> err
+      | Ok `To_listener ->
+        if List.length e.to_listener >= queue_cap then
+          Error (Types.Invalid_argument_ "channel queue full")
+        else begin
+          e.to_listener <- push t e.to_listener seg;
+          t.segs_queued <- t.segs_queued + 1;
+          Ok ()
+        end
+      | Ok `To_initiator ->
+        if List.length e.to_initiator >= queue_cap then
+          Error (Types.Invalid_argument_ "channel queue full")
+        else begin
+          e.to_initiator <- push t e.to_initiator seg;
+          t.segs_queued <- t.segs_queued + 1;
+          Ok ()
+        end)
 
 let recv t ~chan ~sender =
-  locked t (fun () ->
-      match find t chan with
-      | Error _ as e -> e
-      | Ok e -> (
-        match direction e ~sender with
-        | Error _ as err -> err
-        | Ok dir -> (
-          let q = match dir with `To_listener -> e.to_initiator | `To_initiator -> e.to_listener in
-          match q with
-          | [] -> Ok None
-          | seg :: rest ->
-            (match dir with
-            | `To_listener -> e.to_initiator <- rest
-            | `To_initiator -> e.to_listener <- rest);
-            t.segs_delivered <- t.segs_delivered + 1;
-            Ok (Some seg))))
+  match find t chan with
+  | Error _ as e -> e
+  | Ok e -> (
+    match direction e ~sender with
+    | Error _ as err -> err
+    | Ok dir -> (
+      let q = match dir with `To_listener -> e.to_initiator | `To_initiator -> e.to_listener in
+      match q with
+      | [] -> Ok None
+      | seg :: rest ->
+        (match dir with
+        | `To_listener -> e.to_initiator <- rest
+        | `To_initiator -> e.to_listener <- rest);
+        t.segs_delivered <- t.segs_delivered + 1;
+        Ok (Some seg)))
 
 let wipe_entry e =
   Hypertee_util.Bytes_ext.fill_zero e.binding;
@@ -219,46 +206,43 @@ let wipe_entry e =
   e.closed <- true
 
 let close t ~chan ~sender =
-  locked t (fun () ->
-      match find t chan with
-      | Error _ as e -> e
-      | Ok e -> (
-        match direction e ~sender with
-        | Error _ as err -> err
-        | Ok _ ->
-          wipe_entry e;
-          Hashtbl.remove t.entries chan;
-          t.closed_n <- t.closed_n + 1;
-          Ok ()))
+  match find t chan with
+  | Error _ as e -> e
+  | Ok e -> (
+    match direction e ~sender with
+    | Error _ as err -> err
+    | Ok _ ->
+      wipe_entry e;
+      Hashtbl.remove t.entries chan;
+      t.closed_n <- t.closed_n + 1;
+      Ok ())
 
 let drop_for_enclave t id =
-  locked t (fun () ->
-      let doomed =
-        Hashtbl.fold
-          (fun chan e acc ->
-            if e.listener = id || e.initiator = Enclave id then (chan, e) :: acc else acc)
-          t.entries []
-      in
-      List.iter
-        (fun (chan, e) ->
-          wipe_entry e;
-          Hashtbl.remove t.entries chan;
-          t.closed_n <- t.closed_n + 1)
-        doomed;
-      List.length doomed)
+  let doomed =
+    Hashtbl.fold
+      (fun chan e acc ->
+        if e.listener = id || e.initiator = Enclave id then (chan, e) :: acc else acc)
+      t.entries []
+  in
+  List.iter
+    (fun (chan, e) ->
+      wipe_entry e;
+      Hashtbl.remove t.entries chan;
+      t.closed_n <- t.closed_n + 1)
+    doomed;
+  List.length doomed
 
 let drop_home t ~home =
-  locked t (fun () ->
-      let doomed =
-        Hashtbl.fold (fun chan e acc -> if e.home = home then (chan, e) :: acc else acc) t.entries []
-      in
-      List.iter
-        (fun (chan, e) ->
-          wipe_entry e;
-          Hashtbl.remove t.entries chan;
-          t.closed_n <- t.closed_n + 1)
-        doomed;
-      List.length doomed)
+  let doomed =
+    Hashtbl.fold (fun chan e acc -> if e.home = home then (chan, e) :: acc else acc) t.entries []
+  in
+  List.iter
+    (fun (chan, e) ->
+      wipe_entry e;
+      Hashtbl.remove t.entries chan;
+      t.closed_n <- t.closed_n + 1)
+    doomed;
+  List.length doomed
 
 type view = {
   v_chan : int;
@@ -271,33 +255,31 @@ type view = {
 }
 
 let snapshot t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun _ e acc ->
-          {
-            v_chan = e.chan;
-            v_home = e.home;
-            v_listener = e.listener;
-            v_initiator = e.initiator;
-            v_accepted = e.accepted;
-            v_queued = List.length e.to_listener + List.length e.to_initiator;
-            v_binding_live = Bytes.exists (fun c -> c <> '\000') e.binding;
-          }
-          :: acc)
-        t.entries []
-      |> List.sort (fun a b -> compare a.v_chan b.v_chan))
+  Hashtbl.fold
+    (fun _ e acc ->
+      {
+        v_chan = e.chan;
+        v_home = e.home;
+        v_listener = e.listener;
+        v_initiator = e.initiator;
+        v_accepted = e.accepted;
+        v_queued = List.length e.to_listener + List.length e.to_initiator;
+        v_binding_live = Bytes.exists (fun c -> c <> '\000') e.binding;
+      }
+      :: acc)
+    t.entries []
+  |> List.sort (fun a b -> compare a.v_chan b.v_chan)
 
-let live t = locked t (fun () -> Hashtbl.length t.entries)
+let live t = Hashtbl.length t.entries
 let shards t = t.shards
 
 let publish_metrics t m =
   let open Hypertee_obs.Metrics in
-  locked t (fun () ->
-      set_counter (counter m ~help:"channels opened" "chan.opened") t.opened;
-      set_counter (counter m ~help:"channels accepted" "chan.accepted") t.accepted_n;
-      set_counter (counter m ~help:"channels closed or reaped" "chan.closed") t.closed_n;
-      set_counter (counter m ~help:"segments queued" "chan.segs_queued") t.segs_queued;
-      set_counter (counter m ~help:"segments delivered" "chan.segs_delivered") t.segs_delivered;
-      set_counter (counter m ~help:"channel faults injected" "chan.faults_injected")
-        t.faults_injected;
-      set_gauge (gauge m ~help:"live channel entries" "chan.live") (float_of_int (Hashtbl.length t.entries)))
+  set_counter (counter m ~help:"channels opened" "chan.opened") t.opened;
+  set_counter (counter m ~help:"channels accepted" "chan.accepted") t.accepted_n;
+  set_counter (counter m ~help:"channels closed or reaped" "chan.closed") t.closed_n;
+  set_counter (counter m ~help:"segments queued" "chan.segs_queued") t.segs_queued;
+  set_counter (counter m ~help:"segments delivered" "chan.segs_delivered") t.segs_delivered;
+  set_counter (counter m ~help:"channel faults injected" "chan.faults_injected")
+    t.faults_injected;
+  set_gauge (gauge m ~help:"live channel entries" "chan.live") (float_of_int (Hashtbl.length t.entries))

@@ -3,7 +3,7 @@
     The control-plane state behind the five [ECH*] primitives: one
     table of channel control blocks — endpoints, the 16-byte binding
     secret, and a bounded segment queue per direction — shared by
-    every EMS shard under a mutex, so a channel's two endpoints can
+    by every EMS shard, so a channel's two endpoints can
     live on different shards and the fabric is the cross-shard
     transport. Channel ids follow the same residue discipline as
     enclave ids (shard [s] mints [s+1], [s+1+N], …), so

@@ -223,14 +223,13 @@ let revive_key t (e : Enclave.t) =
     e.Enclave.key_parked <- false;
     Ok ()
 
-(* Reused 8-byte header scratch for the measurement stream, one per
-   domain so shards measuring in parallel never share it. *)
-let meas_header : bytes Domain.DLS.key = Domain.DLS.new_key (fun () -> Bytes.create 8)
+(* Reused 8-byte header scratch for the measurement stream: it is
+   fed into the context before the next call overwrites it. *)
+let meas_header = Bytes.create 8
 
 let measurement_update (e : Enclave.t) ~vpn data =
   match e.Enclave.measurement_ctx with
   | Some ctx ->
-    let meas_header = Domain.DLS.get meas_header in
     Hypertee_util.Bytes_ext.set_u64_le meas_header 0 (Int64.of_int vpn);
     Hypertee_crypto.Sha256.feed_sub ctx meas_header ~off:0 ~len:8;
     Hypertee_crypto.Sha256.update ctx data

@@ -88,8 +88,7 @@ val restart_default_ops : int
 (** [rolling_restart ()] runs the scenario: [shards] rounds (default
     3, each shard killed exactly once) over roughly [ops] total
     requests. Deterministic given [seed]. *)
-val rolling_restart :
-  ?seed:int64 -> ?ops:int -> ?shards:int -> ?domains:int -> unit -> restart_report
+val rolling_restart : ?seed:int64 -> ?ops:int -> ?shards:int -> unit -> restart_report
 
 (** Zero lost enclaves, zero oracle divergences, zero invariant
     violations (per round and final), zero replay mismatches — the

@@ -32,7 +32,6 @@ type sample = {
    guard) needs to know what machine produced a file. *)
 type host = {
   hardware_threads : int;
-  recommended_domains : int;
   ocaml_version : string;
   word_size : int;
   os_type : string;
@@ -41,7 +40,6 @@ type host = {
 let host_info () =
   {
     hardware_threads = Domain.recommended_domain_count ();
-    recommended_domains = Hypertee_util.Domain_pool.recommended_domains ();
     ocaml_version = Sys.ocaml_version;
     word_size = Sys.word_size;
     os_type = Sys.os_type;
@@ -407,9 +405,9 @@ let write_json ~path samples =
   let oc = open_out path in
   output_string oc "{\n";
   Printf.fprintf oc
-    "  \"host\": {\"hardware_threads\": %d, \"recommended_domains\": %d, \"ocaml_version\": \
-     %S, \"word_size\": %d, \"os_type\": %S},\n"
-    h.hardware_threads h.recommended_domains h.ocaml_version h.word_size h.os_type;
+    "  \"host\": {\"hardware_threads\": %d, \"ocaml_version\": %S, \"word_size\": %d, \
+     \"os_type\": %S},\n"
+    h.hardware_threads h.ocaml_version h.word_size h.os_type;
   output_string oc "  \"samples\": [\n";
   let n = List.length samples in
   List.iteri

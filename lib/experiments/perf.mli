@@ -17,7 +17,6 @@ type sample = {
     JSON so raw MB/s numbers carry their provenance. *)
 type host = {
   hardware_threads : int;  (** [Domain.recommended_domain_count] *)
-  recommended_domains : int;  (** what the worker pool would size to *)
   ocaml_version : string;
   word_size : int;
   os_type : string;

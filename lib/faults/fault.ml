@@ -96,12 +96,6 @@ type slot = {
 type t = {
   slots : slot array;
   flips : (int, int) Hashtbl.t;
-  lock : Mutex.t;
-      (* Sites are consulted from whichever domain hits them (mailbox
-         ops under the gate, bit flips inside parallel MEE loads):
-         each draw advances a per-site RNG stream and counters, so
-         the whole consult is one critical section. Single-domain
-         replays never contend, keeping fault traces reproducible. *)
 }
 
 let create p =
@@ -123,27 +117,23 @@ let create p =
            { rule; rng = rngs.(site_index site); seen = 0; hits = 0 })
          all_sites)
   in
-  { slots; flips = Hashtbl.create 64; lock = Mutex.create () }
+  { slots; flips = Hashtbl.create 64 }
 
 let slot t site = t.slots.(site_index site)
 
 let fire t site =
   let s = slot t site in
+  s.seen <- s.seen + 1;
   let hit =
-    Mutex.protect t.lock @@ fun () ->
-    s.seen <- s.seen + 1;
-    let hit =
-      match s.rule.schedule with
-      | Never -> false
-      | Always -> true
-      | Probability p -> Hypertee_util.Xrng.float s.rng < p
-      | Every_nth n -> s.seen mod n = 0
-      | Once_at n -> s.seen = n
-    in
-    if hit then s.hits <- s.hits + 1;
-    hit
+    match s.rule.schedule with
+    | Never -> false
+    | Always -> true
+    | Probability p -> Hypertee_util.Xrng.float s.rng < p
+    | Every_nth n -> s.seen mod n = 0
+    | Once_at n -> s.seen = n
   in
   if hit then begin
+    s.hits <- s.hits + 1;
     if Hypertee_obs.Trace.enabled () then
       Hypertee_obs.Trace.instant ~cat:Hypertee_obs.Trace.Fault
         ~name:("fault:" ^ site_name site) ()
@@ -152,8 +142,7 @@ let fire t site =
 
 let intensity t site = (slot t site).rule.intensity
 
-let draw_int t site bound =
-  Mutex.protect t.lock (fun () -> Hypertee_util.Xrng.int (slot t site).rng bound)
+let draw_int t site bound = Hypertee_util.Xrng.int (slot t site).rng bound
 let fired t site = (slot t site).hits
 let opportunities t site = (slot t site).seen
 let total_fired t = Array.fold_left (fun acc s -> acc + s.hits) 0 t.slots
@@ -165,12 +154,9 @@ let total_fired t = Array.fold_left (fun acc s -> acc + s.hits) 0 t.slots
    [flips_on] is what classifies a deep-sweep MAC failure as
    injected rather than a latent platform bug. *)
 let note_flip t ~frame =
-  Mutex.protect t.lock @@ fun () ->
   Hashtbl.replace t.flips frame (1 + Option.value ~default:0 (Hashtbl.find_opt t.flips frame))
 
-let flips_on t ~frame =
-  Mutex.protect t.lock (fun () ->
-      Option.value ~default:0 (Hashtbl.find_opt t.flips frame))
+let flips_on t ~frame = Option.value ~default:0 (Hashtbl.find_opt t.flips frame)
 
 let publish_metrics t registry =
   let module M = Hypertee_obs.Metrics in

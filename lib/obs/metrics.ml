@@ -1,22 +1,16 @@
 module Stats = Hypertee_util.Stats
 
-(* Instruments are domain-safe: counters and gauges live on [Atomic]
-   cells (lock-free, safe to bump from MEE worker domains), while
-   histograms — whose [Stats] reservoir is a compound structure —
-   take a per-histogram mutex on [observe]. The registry table itself
-   is mutex-guarded so concurrent get-or-create cannot register two
-   instruments under one name. *)
-type counter = int Atomic.t
-type gauge = float Atomic.t
-type histogram = { stats : Stats.t; h_lock : Mutex.t }
+type counter = int ref
+type gauge = float ref
+type histogram = Stats.t
 
 type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
 
 type entry = { instrument : instrument; help : string }
 
-type t = { table : (string, entry) Hashtbl.t; lock : Mutex.t }
+type t = { table : (string, entry) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 64; lock = Mutex.create () }
+let create () = { table = Hashtbl.create 64 }
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -25,7 +19,6 @@ let kind_name = function
 
 (* Get-or-create by name; a kind collision is a programming error. *)
 let find_or_add t name ~help ~make ~cast =
-  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.table name with
   | Some entry -> (
     match cast entry.instrument with
@@ -42,41 +35,38 @@ let find_or_add t name ~help ~make ~cast =
 let counter t ?(help = "") name =
   find_or_add t name ~help
     ~make:(fun () ->
-      let c = Atomic.make 0 in
+      let c = ref 0 in
       (c, Counter c))
     ~cast:(function Counter c -> Some c | _ -> None)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
-let set_counter c v = Atomic.set c v
-let counter_value c = Atomic.get c
+let incr ?(by = 1) c = c := !c + by
+let set_counter c v = c := v
+let counter_value c = !c
 
 let gauge t ?(help = "") name =
   find_or_add t name ~help
     ~make:(fun () ->
-      let g = Atomic.make 0.0 in
+      let g = ref 0.0 in
       (g, Gauge g))
     ~cast:(function Gauge g -> Some g | _ -> None)
 
-let set_gauge g v = Atomic.set g v
-let gauge_value g = Atomic.get g
+let set_gauge g v = g := v
+let gauge_value g = !g
 
 let histogram t ?(help = "") name =
   find_or_add t name ~help
     ~make:(fun () ->
-      let h = { stats = Stats.create (); h_lock = Mutex.create () } in
+      let h = Stats.create () in
       (h, Histogram h))
     ~cast:(function Histogram h -> Some h | _ -> None)
 
-let observe h v = Mutex.protect h.h_lock (fun () -> Stats.add h.stats v)
-let histogram_count h = Mutex.protect h.h_lock (fun () -> Stats.count h.stats)
-let percentile h p = Mutex.protect h.h_lock (fun () -> Stats.percentile h.stats p)
-let histogram_mean h = Mutex.protect h.h_lock (fun () -> Stats.mean h.stats)
+let observe = Stats.add
+let histogram_count = Stats.count
+let percentile = Stats.percentile
+let histogram_mean = Stats.mean
 
-let names t =
-  Mutex.protect t.lock @@ fun () ->
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.table [] |> List.sort compare
-
-let find_entry t name = Mutex.protect t.lock (fun () -> Hashtbl.find t.table name)
+let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.table [] |> List.sort compare
+let find_entry t name = Hashtbl.find t.table name
 
 let headers = [ "metric"; "kind"; "count"; "value"; "p50"; "p99"; "help" ]
 
@@ -91,17 +81,16 @@ let rows t =
       let kind = kind_name entry.instrument in
       let count, value, p50, p99 =
         match entry.instrument with
-        | Counter c -> ("-", string_of_int (Atomic.get c), "-", "-")
-        | Gauge g -> ("-", fmt_value (Atomic.get g), "-", "-")
+        | Counter c -> ("-", string_of_int !c, "-", "-")
+        | Gauge g -> ("-", fmt_value !g, "-", "-")
         | Histogram h ->
-          Mutex.protect h.h_lock @@ fun () ->
-          let n = Stats.count h.stats in
+          let n = Stats.count h in
           if n = 0 then (string_of_int n, "-", "-", "-")
           else
             ( string_of_int n,
-              fmt_value (Stats.mean h.stats),
-              fmt_value (Stats.percentile h.stats 50.0),
-              fmt_value (Stats.percentile h.stats 99.0) )
+              fmt_value (Stats.mean h),
+              fmt_value (Stats.percentile h 50.0),
+              fmt_value (Stats.percentile h 99.0) )
       in
       [ name; kind; count; value; p50; p99; entry.help ])
     (names t)
@@ -133,19 +122,17 @@ let to_json t =
       let entry = find_entry t name in
       Buffer.add_string b (Printf.sprintf "  \"%s\": " (json_escape name));
       (match entry.instrument with
-      | Counter c -> Buffer.add_string b (string_of_int (Atomic.get c))
-      | Gauge g -> Buffer.add_string b (Printf.sprintf "%.6g" (Atomic.get g))
+      | Counter c -> Buffer.add_string b (string_of_int !c)
+      | Gauge g -> Buffer.add_string b (Printf.sprintf "%.6g" !g)
       | Histogram h ->
-        Mutex.protect h.h_lock @@ fun () ->
-        let count = Stats.count h.stats in
+        let count = Stats.count h in
         if count = 0 then Buffer.add_string b "{\"count\": 0}"
         else
           Buffer.add_string b
             (Printf.sprintf
                "{\"count\": %d, \"mean\": %.6g, \"min\": %.6g, \"max\": %.6g, \"p50\": %.6g, \"p99\": %.6g}"
-               count (Stats.mean h.stats) (Stats.min h.stats) (Stats.max h.stats)
-               (Stats.percentile h.stats 50.0)
-               (Stats.percentile h.stats 99.0)));
+               count (Stats.mean h) (Stats.min h) (Stats.max h) (Stats.percentile h 50.0)
+               (Stats.percentile h 99.0)));
       Buffer.add_string b (if i = n - 1 then "\n" else ",\n"))
     all;
   Buffer.add_string b "}\n";

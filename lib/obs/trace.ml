@@ -47,22 +47,12 @@ type span = {
    track (the sim servers) cannot evict the sparse ones (faults). *)
 type ring = { buf : span option array; mutable head : int; mutable count : int }
 
-(* Per-domain span store. Each domain that emits through a tracer
-   gets its own rings and its own push/pop stack, so worker domains
-   record without any lock on the hot path; [spans] merges the
-   per-domain stores at export. Span nesting ([push]/[pop]) is a
-   per-domain notion: a worker's spans root at its own stack. *)
-type store = {
-  tracks : (int, ring) Hashtbl.t;
-  mutable open_stack : span list;
-  mutable dropped : int;
-}
-
 type t = {
   capacity : int;
-  stores_lock : Mutex.t;
-  mutable stores : store list;  (* every domain's store, export order newest-first *)
-  next_id : int Atomic.t;
+  tracks : (int, ring) Hashtbl.t;
+  mutable open_stack : span list;  (* innermost open span first *)
+  mutable dropped : int;
+  mutable next_id : int;
   mutable cursor : float;
   mutable clock : (unit -> float) option;
 }
@@ -73,9 +63,10 @@ let create ?(ring_capacity = default_ring_capacity) () =
   if ring_capacity < 1 then invalid_arg "Trace.create: ring_capacity must be >= 1";
   {
     capacity = ring_capacity;
-    stores_lock = Mutex.create ();
-    stores = [];
-    next_id = Atomic.make 0;
+    tracks = Hashtbl.create 8;
+    open_stack = [];
+    dropped = 0;
+    next_id = 0;
     cursor = 0.0;
     clock = None;
   }
@@ -93,78 +84,64 @@ let track_name track =
   else if track >= 0 then Printf.sprintf "gate/shard%d" track
   else Printf.sprintf "track%d" track
 
-(* The active tracer. [live] is the one-atomic-load guard every
+(* The active tracer. [live] is the one-load guard every
    instrumentation site checks; it is true only while a tracer is
-   both installed and not paused. Both cells are written from the
-   controlling domain only but read from every domain. *)
-let active : t option Atomic.t = Atomic.make None
-let live = Atomic.make false
+   both installed and not paused. *)
+let active : t option ref = ref None
+let live = ref false
 
 let install t =
-  Atomic.set active (Some t);
-  Atomic.set live true
+  active := Some t;
+  live := true
 
 let uninstall () =
-  Atomic.set active None;
-  Atomic.set live false
+  active := None;
+  live := false
 
-let installed () = Atomic.get active
-let enabled () = Atomic.get live
-let pause () = Atomic.set live false
-let resume () = if Atomic.get active <> None then Atomic.set live true
+let installed () = !active
+let enabled () = !live
+let pause () = live := false
+let resume () = if !active <> None then live := true
 
 let now t = match t.clock with Some f -> f () | None -> t.cursor
-let global_now () = match Atomic.get active with Some t -> now t | None -> 0.0
+let global_now () = match !active with Some t -> now t | None -> 0.0
 let set_clock t clock = t.clock <- clock
 let advance t ns = if t.clock = None then t.cursor <- t.cursor +. ns
 
-(* Each domain caches the store it uses per tracer (almost always a
-   singleton list: one tracer is installed at a time). *)
-let domain_stores : (t * store) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let store_of t =
-  let cache = Domain.DLS.get domain_stores in
-  match List.assq_opt t !cache with
-  | Some s -> s
-  | None ->
-    let s = { tracks = Hashtbl.create 8; open_stack = []; dropped = 0 } in
-    Mutex.protect t.stores_lock (fun () -> t.stores <- s :: t.stores);
-    cache := (t, s) :: !cache;
-    s
-
-let ring_of t store track =
-  match Hashtbl.find_opt store.tracks track with
+let ring_of t track =
+  match Hashtbl.find_opt t.tracks track with
   | Some r -> r
   | None ->
     let r = { buf = Array.make t.capacity None; head = 0; count = 0 } in
-    Hashtbl.replace store.tracks track r;
+    Hashtbl.replace t.tracks track r;
     r
 
-let record t store span =
-  let r = ring_of t store span.track in
-  if r.count = t.capacity then store.dropped <- store.dropped + 1
+let record t span =
+  let r = ring_of t span.track in
+  if r.count = t.capacity then t.dropped <- t.dropped + 1
   else r.count <- r.count + 1;
   r.buf.(r.head) <- Some span;
   r.head <- (r.head + 1) mod t.capacity
 
-let fresh_id t = Atomic.fetch_and_add t.next_id 1
+let fresh_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
 
 let emit ?(track = 0) ?(parent = -1) ?(enclave = -1) ?(opcode = "") ?(request_id = -1)
     ~cat ~name ~start_ns ~dur_ns () =
-  if not (Atomic.get live) then -1
+  if not !live then -1
   else
-    match Atomic.get active with
+    match !active with
     | None -> -1
     | Some t ->
       let id = fresh_id t in
-      record t (store_of t)
-        { id; parent; name; cat; track; start_ns; dur_ns; enclave; opcode; request_id };
+      record t { id; parent; name; cat; track; start_ns; dur_ns; enclave; opcode; request_id };
       id
 
 let instant ?track ?ts_ns ?enclave ?request_id ~cat ~name () =
-  if Atomic.get live then
-    match Atomic.get active with
+  if !live then
+    match !active with
     | None -> ()
     | Some t ->
       let ts = match ts_ns with Some ts -> ts | None -> now t in
@@ -172,13 +149,12 @@ let instant ?track ?ts_ns ?enclave ?request_id ~cat ~name () =
         (emit ?track ?enclave ?request_id ~cat ~name ~start_ns:ts ~dur_ns:0.0 ())
 
 let push ?(track = 0) ?(enclave = -1) ?(opcode = "") ?(request_id = -1) ~cat ~name () =
-  if not (Atomic.get live) then -1
+  if not !live then -1
   else
-    match Atomic.get active with
+    match !active with
     | None -> -1
     | Some t ->
-      let store = store_of t in
-      let parent = match store.open_stack with [] -> -1 | s :: _ -> s.id in
+      let parent = match t.open_stack with [] -> -1 | s :: _ -> s.id in
       let id = fresh_id t in
       let span =
         {
@@ -194,68 +170,49 @@ let push ?(track = 0) ?(enclave = -1) ?(opcode = "") ?(request_id = -1) ~cat ~na
           request_id;
         }
       in
-      record t store span;
-      store.open_stack <- span :: store.open_stack;
+      record t span;
+      t.open_stack <- span :: t.open_stack;
       id
 
 let pop id =
   if id >= 0 then
-    match Atomic.get active with
+    match !active with
     | None -> ()
     | Some t -> (
-      let store = store_of t in
-      match store.open_stack with
+      match t.open_stack with
       | s :: rest when s.id = id ->
         s.dur_ns <- now t -. s.start_ns;
-        store.open_stack <- rest
+        t.open_stack <- rest
       | s :: _ ->
         invalid_arg
           (Printf.sprintf "Trace.pop: ill-nested close of span %d (innermost open is %d)"
              id s.id)
       | [] -> invalid_arg (Printf.sprintf "Trace.pop: span %d is not open" id))
 
-let open_spans () =
-  match Atomic.get active with
-  | None -> 0
-  | Some t -> List.length (store_of t).open_stack
-
-(* Export walks every domain's store. Meant to run at rest (between
-   scenarios, or after the worker pool has joined its barrier) — a
-   concurrent emitter can race the merge, but never corrupt it. *)
-let all_stores t = Mutex.protect t.stores_lock (fun () -> t.stores)
+let open_spans () = match !active with None -> 0 | Some t -> List.length t.open_stack
 
 let spans t =
   let all = ref [] in
-  List.iter
-    (fun store ->
-      Hashtbl.iter
-        (fun _ r -> Array.iter (function Some s -> all := s :: !all | None -> ()) r.buf)
-        store.tracks)
-    (all_stores t);
+  Hashtbl.iter
+    (fun _ r -> Array.iter (function Some s -> all := s :: !all | None -> ()) r.buf)
+    t.tracks;
   List.sort
     (fun a b ->
       match Float.compare a.start_ns b.start_ns with 0 -> compare a.id b.id | c -> c)
     !all
 
-let span_count t =
-  List.fold_left
-    (fun acc store -> Hashtbl.fold (fun _ r acc -> acc + r.count) store.tracks acc)
-    0 (all_stores t)
-
-let dropped t = List.fold_left (fun acc store -> acc + store.dropped) 0 (all_stores t)
+let span_count t = Hashtbl.fold (fun _ r acc -> acc + r.count) t.tracks 0
+let dropped t = t.dropped
 
 let clear t =
-  List.iter
-    (fun store ->
-      Hashtbl.iter
-        (fun _ r ->
-          Array.fill r.buf 0 (Array.length r.buf) None;
-          r.head <- 0;
-          r.count <- 0)
-        store.tracks;
-      store.open_stack <- [];
-      store.dropped <- 0)
-    (all_stores t)
+  Hashtbl.iter
+    (fun _ r ->
+      Array.fill r.buf 0 (Array.length r.buf) None;
+      r.head <- 0;
+      r.count <- 0)
+    t.tracks;
+  t.open_stack <- [];
+  t.dropped <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export.                                         *)
@@ -281,14 +238,8 @@ let to_chrome_json t =
   let sep () =
     if !first then first := false else Buffer.add_string b ",\n"
   in
-  (* Thread-name metadata: one row label per track, merged across the
-     per-domain stores. *)
-  let track_ids = Hashtbl.create 8 in
-  List.iter
-    (fun store ->
-      Hashtbl.iter (fun track _ -> Hashtbl.replace track_ids track ()) store.tracks)
-    (all_stores t);
-  let track_ids = Hashtbl.fold (fun track () acc -> track :: acc) track_ids [] in
+  (* Thread-name metadata: one row label per track. *)
+  let track_ids = Hashtbl.fold (fun track _ acc -> track :: acc) t.tracks [] in
   List.iter
     (fun track ->
       sep ();
@@ -368,13 +319,7 @@ let render_summary t =
                 else "-");
              ])
     in
-    let tracks =
-      let seen = Hashtbl.create 8 in
-      List.iter
-        (fun store -> Hashtbl.iter (fun k _ -> Hashtbl.replace seen k ()) store.tracks)
-        (all_stores t);
-      Hashtbl.length seen
-    in
+    let tracks = Hashtbl.length t.tracks in
     Buffer.add_string b
       (Printf.sprintf "%d span(s) on %d track(s), %d dropped by ring overwrite\n"
          (span_count t) tracks (dropped t));

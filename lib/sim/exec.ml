@@ -1,66 +1,11 @@
-(* Execution-mode switch for the whole platform.
-
-   [Deterministic] is the default and the reference semantics: one
-   domain, every shard drained in gate order, bit-identical traces,
-   reproducible fault replays, a happy differential oracle.
-   [Parallel] runs distinct-shard work concurrently on OCaml 5
-   domains; results are equivalent per call and the final platform
-   state is [Platform.check]-clean, but interleaving-sensitive
-   observables (trace span order, frame allocation order) may differ.
-
-   The mode can be forced process-wide through the HYPERTEE_EXEC
-   environment variable so the test suite runs the same binaries in
-   both modes without recompiling:
-
-     HYPERTEE_EXEC=deterministic   (the default)
-     HYPERTEE_EXEC=parallel        (recommended_domain_count domains)
-     HYPERTEE_EXEC=parallel:4      (exactly 4 domains) *)
+(* The execution-mode type. Every platform runs deterministically on
+   one domain; this module survives only as the vocabulary callers
+   use to check that (see exec.mli). *)
 
 type mode = Deterministic | Parallel of { domains : int }
-
-let domains = function Deterministic -> 1 | Parallel { domains } -> domains
 
 let to_string = function
   | Deterministic -> "deterministic"
   | Parallel { domains } -> Printf.sprintf "parallel:%d" domains
 
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "deterministic" | "det" | "1" -> Some Deterministic
-  | "parallel" | "par" ->
-    Some (Parallel { domains = Domain.recommended_domain_count () })
-  | s -> (
-    match String.index_opt s ':' with
-    | Some i
-      when String.sub s 0 i = "parallel" || String.sub s 0 i = "par" -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some n when n >= 1 -> Some (Parallel { domains = n })
-      | _ -> None)
-    | _ -> (
-      match int_of_string_opt s with
-      | Some 1 -> Some Deterministic
-      | Some n when n > 1 -> Some (Parallel { domains = n })
-      | _ -> None))
-
 let env_var = "HYPERTEE_EXEC"
-
-(* Resolved once: tests construct many platforms and the mode must
-   not flip between them mid-process. *)
-let forced =
-  lazy
-    (match Sys.getenv_opt env_var with
-    | None | Some "" -> None
-    | Some s -> (
-      match of_string s with
-      | Some m -> Some m
-      | None ->
-        Printf.eprintf "hypertee: ignoring unparsable %s=%S\n%!" env_var s;
-        None))
-
-let default_mode () = match Lazy.force forced with Some m -> m | None -> Deterministic
-
-(* [resolve ~requested] is the single decision point platforms use:
-   an explicit request (CLI flag, Config.domains) wins unless the
-   environment forces a mode for the whole process. *)
-let resolve ~requested =
-  match Lazy.force forced with Some m -> m | None -> requested

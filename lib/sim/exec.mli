@@ -1,25 +1,17 @@
-(** Process-wide execution mode: deterministic single-domain (the
-    reference semantics) or parallel over OCaml 5 domains.
+(** Execution mode reported by [Platform.exec_mode].
 
-    The HYPERTEE_EXEC environment variable ([deterministic],
-    [parallel], [parallel:<n>]) forces a mode for the whole process,
-    letting the test matrix run both modes without recompiling. *)
+    Every platform runs deterministically on one domain, so
+    [Platform.exec_mode] always returns [Deterministic]. The type
+    stays because the session benchmark (sessionbench/bench.ml)
+    matches on it to refuse any other mode, and that file must keep
+    compiling unchanged. [Parallel] stays as a second constructor so
+    that match's catch-all case is not reported as unused (warning
+    11, an error under dune's dev profile); nothing constructs it. *)
 
 type mode = Deterministic | Parallel of { domains : int }
 
-val domains : mode -> int
-(** Parallelism implied by the mode: 1 for [Deterministic]. *)
-
 val to_string : mode -> string
-val of_string : string -> mode option
 
 val env_var : string
-(** ["HYPERTEE_EXEC"]. *)
-
-val default_mode : unit -> mode
-(** The environment override, or [Deterministic]. Resolved once per
-    process. *)
-
-val resolve : requested:mode -> mode
-(** The mode a platform should actually use: the environment override
-    when set, otherwise [requested]. *)
+(** ["HYPERTEE_EXEC"], named in the benchmark's refusal message. The
+    variable is no longer read. *)

@@ -377,11 +377,34 @@ let test_perf_run_and_json () =
   check Alcotest.bool "inflated baseline: regression reported" true
     (Perf.compare_to_baseline ~baseline:inflated ~tolerance_pct:30.0 samples <> [])
 
+(* The bulk pipelines are the per-page loop: [write_pages] leaves the
+   same ciphertext in DRAM as [write_page] called frame by frame, and
+   [read_pages] returns every page in input order. *)
+let test_bulk_matches_scalar () =
+  let mee_bulk, mem_bulk = fresh () in
+  let mee_seq, mem_seq = fresh () in
+  let pages = Array.init 6 (fun i -> (i, patterned (i + 3))) in
+  Mem_encryption.write_pages mee_bulk mem_bulk ~key_id:1 pages;
+  Array.iter
+    (fun (frame, data) -> Mem_encryption.write_page mee_seq mem_seq ~key_id:1 ~frame data)
+    pages;
+  for frame = 0 to 5 do
+    check Alcotest.bytes
+      (Printf.sprintf "frame %d ciphertext identical" frame)
+      (Phys_mem.read mem_seq ~frame) (Phys_mem.read mem_bulk ~frame)
+  done;
+  let back = Mem_encryption.read_pages mee_bulk mem_bulk ~key_id:1 (Array.init 6 Fun.id) in
+  Array.iteri
+    (fun i plain ->
+      check Alcotest.bytes (Printf.sprintf "page %d round trip" i) (patterned (i + 3)) plain)
+    back
+
 let suite =
   [
     ( "dataplane.mee",
       [
         Alcotest.test_case "write_page matches store" `Quick test_page_roundtrip_matches_store;
+        Alcotest.test_case "bulk pipeline == scalar loop" `Quick test_bulk_matches_scalar;
         Alcotest.test_case "key 0 passthrough" `Quick test_key0_passthrough;
         Alcotest.test_case "tamper detected on range ops" `Quick test_tamper_detected_on_range_read;
         Alcotest.test_case "cross-key never decrypts" `Quick test_cross_key_garbles;

@@ -297,6 +297,40 @@ let test_rolling_restart_clean () =
   check Alcotest.int "every shard killed once" 2 (List.length r.Hypertee_experiments.Chaos.rounds);
   check Alcotest.bool "rolling restart clean" true (Hypertee_experiments.Chaos.restart_clean r)
 
+(* Batched traffic across a full kill/recover cycle of every shard:
+   the survivors keep answering while one shard is down, recovery
+   brings the fleet back, and the deep invariant sweep at the end is
+   clean. *)
+let test_batch_survives_restarts () =
+  let shards = 4 in
+  let platform = fresh ~shards ~seed:0xBA7C4L () in
+  let enclaves =
+    List.filter_map
+      (function Ok (Types.Ok_created { enclave }, _) -> Some enclave | _ -> None)
+      (Platform.invoke_batch platform
+         (List.init 8 (fun _ -> (Emcall.Os_kernel, Types.Create { config = Types.default_config }))))
+  in
+  check Alcotest.int "fleet created in one batch" 8 (List.length enclaves);
+  let alloc_all ids what =
+    List.iter
+      (function Ok (Types.Ok_alloc _, _) -> () | _ -> Alcotest.fail what)
+      (Platform.invoke_batch platform
+         (List.map (fun id -> (Emcall.User_host, Types.Alloc { enclave = id; pages = 1 })) ids))
+  in
+  for victim = 0 to shards - 1 do
+    Platform.kill_shard platform victim;
+    alloc_all
+      (List.filter (fun id -> Platform.shard_of_enclave platform id <> victim) enclaves)
+      "surviving shard failed during outage";
+    let recovery = Platform.recover_shard platform victim in
+    check Alcotest.int
+      (Printf.sprintf "shard %d replay clean" victim)
+      0 recovery.Platform.mismatches;
+    alloc_all enclaves "post-recovery batch failed"
+  done;
+  check Alcotest.bool "deep invariant sweep clean" true
+    (Invariant.ok (Platform.check ~deep:true platform))
+
 let suite =
   [
     ( "elasticity",
@@ -314,5 +348,7 @@ let suite =
         Alcotest.test_case "audit attributes migration/restore/recovery" `Quick
           test_audit_attribution;
         Alcotest.test_case "rolling restart scenario is clean" `Quick test_rolling_restart_clean;
+        Alcotest.test_case "batched traffic across shard restarts" `Quick
+          test_batch_survives_restarts;
       ] );
   ]

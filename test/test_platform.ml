@@ -389,6 +389,14 @@ let test_global_invariants_after_stress () =
         frames)
     (Runtime.live_enclaves runtime)
 
+(* Execution is single-domain: a configuration asking for more
+   domains is refused rather than silently run on one. *)
+let test_multi_domain_config_rejected () =
+  let config = { Hypertee_arch.Config.default with Hypertee_arch.Config.domains = 2 } in
+  match Platform.create ~config () with
+  | _ -> Alcotest.fail "Config.domains = 2 accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "platform.lifecycle",
@@ -401,6 +409,7 @@ let suite =
         Alcotest.test_case "destroy reclaims everything" `Quick test_destroy_reclaims_everything;
         Alcotest.test_case "destroyed enclave unreachable" `Quick test_operations_on_destroyed_enclave;
         Alcotest.test_case "multiple enclaves coexist" `Quick test_multiple_enclaves_coexist;
+        Alcotest.test_case "Config.domains = 2 rejected" `Quick test_multi_domain_config_rejected;
       ] );
     ( "platform.memory",
       [
