@@ -194,7 +194,9 @@ let create ?(seed = 0x4854454531L (* "HTEE1" *)) ?(config = Config.default) ?fau
       match Mailbox.recv_request sh.mailbox with
       | None -> ()
       | Some packet ->
-        Hypertee_ems.Scheduler.submit sh.scheduler ~id:packet.Mailbox.request_id (fun () ->
+        Hypertee_ems.Scheduler.submit sh.scheduler
+          ?enclave:(Runtime.enclave_of_request packet.Mailbox.body)
+          ~id:packet.Mailbox.request_id (fun () ->
             let response =
               Runtime.handle sh.runtime ~sender:packet.Mailbox.sender_enclave
                 packet.Mailbox.body

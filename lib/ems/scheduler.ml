@@ -1,6 +1,9 @@
 module Fault = Hypertee_faults.Fault
 
-type job = { id : int; run : unit -> unit }
+(* [enclave] is the ordering key: jobs for one enclave keep their
+   arrival order through a dispatch; [None] (e.g. ECREATE, which has
+   no id yet) orders against nothing. *)
+type job = { id : int; enclave : int option; run : unit -> unit }
 
 type watchdog_report = { dead_workers : int; redispatched : int list }
 
@@ -38,7 +41,7 @@ let create ?(track = 0) rng ~workers =
 
 let workers t = t.workers
 let set_fault_injector t inj = t.faults <- Some inj
-let submit t ~id run = t.queue <- { id; run } :: t.queue
+let submit t ?enclave ~id run = t.queue <- { id; enclave; run } :: t.queue
 let pending t = List.length t.queue + List.length t.parked
 let alive_workers t = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.alive
 
@@ -55,12 +58,37 @@ let strike t =
     else if Fault.fire inj Fault.Worker_stall then `Stall
     else `Run
 
+(* Randomized dispatch order (Sec. III-C): neither arrival order nor
+   anything the submitter controls decides which enclave goes next.
+   The shuffle permutes positions; each enclave's positions are then
+   refilled with that enclave's own jobs in arrival order, so an
+   EMEAS or EDESTROY never overtakes the EADDs before it. A batch with
+   at most one job per enclave keeps the shuffled order unchanged. *)
+let dispatch_order arrivals rng =
+  let batch = Array.copy arrivals in
+  Hypertee_util.Xrng.shuffle rng batch;
+  let fifo = Hashtbl.create 16 in
+  Array.iter
+    (fun job ->
+      Option.iter
+        (fun e ->
+          match Hashtbl.find_opt fifo e with
+          | Some q -> Queue.push job q
+          | None ->
+            let q = Queue.create () in
+            Queue.push job q;
+            Hashtbl.replace fifo e q)
+        job.enclave)
+    arrivals;
+  Array.iteri
+    (fun i job ->
+      Option.iter (fun e -> batch.(i) <- Queue.pop (Hashtbl.find fifo e)) job.enclave)
+    batch;
+  batch
+
 let dispatch t =
-  let batch = Array.of_list (List.rev t.queue) in
+  let batch = dispatch_order (Array.of_list (List.rev t.queue)) t.rng in
   t.queue <- [];
-  (* Randomized dispatch order (Sec. III-C): neither arrival order
-     nor anything the submitter controls. *)
-  Hypertee_util.Xrng.shuffle t.rng batch;
   let ran = ref 0 in
   Array.iteri
     (fun i job ->

@@ -37,17 +37,20 @@ val workers : t -> int
 (** Install the platform's fault injector (consulted per job run). *)
 val set_fault_injector : t -> Hypertee_faults.Fault.t -> unit
 
-(** [submit t ~id job] queues a primitive for execution. [id] is the
-    mailbox request id (used for the audit trail and for watchdog
-    re-dispatch). *)
-val submit : t -> id:int -> (unit -> unit) -> unit
+(** [submit t ?enclave ~id job] queues a primitive for execution.
+    [id] is the mailbox request id (used for the audit trail and for
+    watchdog re-dispatch). [enclave] is the enclave the request acts
+    on: {!dispatch} keeps jobs for one enclave in submission order.
+    Without it the job is ordered against no other. *)
+val submit : t -> ?enclave:int -> id:int -> (unit -> unit) -> unit
 
 (** Jobs awaiting execution, including parked in-flight jobs. *)
 val pending : t -> int
 
-(** [dispatch t] takes the whole pending batch, shuffles it, assigns
-    jobs to the live workers round-robin and runs every job to
-    completion. Returns the number of jobs executed (jobs whose
+(** [dispatch t] takes the whole pending batch, shuffles it across
+    enclaves (each enclave's jobs keep their submission order),
+    assigns jobs to the live workers round-robin and runs every job
+    to completion. Returns the number of jobs executed (jobs whose
     worker crashed or stalled are parked instead). *)
 val dispatch : t -> int
 

@@ -604,6 +604,37 @@ let test_scheduler_batches_independent () =
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "log accumulates"
     [ (1, 0); (2, 0) ] (Scheduler.execution_log s)
 
+(* Jobs for one enclave keep their submission order; across enclaves
+   the order is still the shuffle. With one job per enclave the order
+   is exactly the plain shuffle of the batch. *)
+let test_scheduler_per_enclave_fifo () =
+  let order_with ~per_enclave =
+    let s = Scheduler.create (Hypertee_util.Xrng.create 5L) ~workers:2 in
+    for i = 0 to 23 do
+      Scheduler.submit s ~enclave:(i / per_enclave) ~id:i (fun () -> ())
+    done;
+    ignore (Scheduler.dispatch s);
+    List.map fst (Scheduler.execution_log s)
+  in
+  let grouped = order_with ~per_enclave:6 in
+  for e = 0 to 3 do
+    check (Alcotest.list Alcotest.int)
+      (Printf.sprintf "enclave %d in submission order" e)
+      (List.init 6 (fun k -> (6 * e) + k))
+      (List.filter (fun id -> id / 6 = e) grouped)
+  done;
+  check Alcotest.bool "enclaves still interleaved" true (grouped <> List.init 24 Fun.id);
+  let plain =
+    let s = Scheduler.create (Hypertee_util.Xrng.create 5L) ~workers:2 in
+    for i = 0 to 23 do
+      Scheduler.submit s ~id:i (fun () -> ())
+    done;
+    ignore (Scheduler.dispatch s);
+    List.map fst (Scheduler.execution_log s)
+  in
+  check (Alcotest.list Alcotest.int) "one job per enclave: plain shuffle" plain
+    (order_with ~per_enclave:1)
+
 let scheduler_suite =
   ( "ems.scheduler",
     [
@@ -611,6 +642,8 @@ let scheduler_suite =
       Alcotest.test_case "order randomized per platform" `Quick test_scheduler_order_randomized;
       Alcotest.test_case "spreads over workers" `Quick test_scheduler_spreads_over_workers;
       Alcotest.test_case "batches independent" `Quick test_scheduler_batches_independent;
+      Alcotest.test_case "per-enclave submission order kept" `Quick
+        test_scheduler_per_enclave_fifo;
     ] )
 
 let suite = suite @ [ scheduler_suite ]

@@ -389,6 +389,60 @@ let test_global_invariants_after_stress () =
         frames)
     (Runtime.live_enclaves runtime)
 
+(* A whole launch in one batch: every enclave's EADDs followed by its
+   EMEAS, across two shards. The randomized drain may interleave
+   enclaves but must keep each enclave's own requests in order, so
+   every measurement equals the one the SDK computed at build time. *)
+let test_batched_launch_measures_correctly () =
+  let platform =
+    Platform.create ~seed:0xBA7CL
+      ~config:{ Hypertee_arch.Config.default with Hypertee_arch.Config.ems_shards = 2 }
+      ()
+  in
+  let images =
+    List.init 6 (fun i ->
+        Sdk.image_of_code
+          ~code:(Bytes.init (4 * 4096) (fun j -> Char.chr ((i + j) land 0xff)))
+          ~data:(Bytes.init (4 * 4096) (fun j -> Char.chr ((3 * i + j) land 0xff)))
+          ())
+  in
+  let enclaves =
+    List.map
+      (function
+        | Ok (Types.Ok_created { enclave }, _) -> enclave
+        | _ -> Alcotest.fail "batched ECREATE failed")
+      (Platform.invoke_batch platform
+         (List.map
+            (fun image -> (Emcall.Os_kernel, Types.Create { config = image.Sdk.config }))
+            images))
+  in
+  let requests =
+    List.concat
+      (List.map2
+         (fun enclave image ->
+           List.map
+             (fun (vpn, data, executable) ->
+               (Emcall.Os_kernel, Types.Add { enclave; vpn; data; executable }))
+             (Sdk.add_plan image)
+           @ [ (Emcall.Os_kernel, Types.Measure { enclave }) ])
+         enclaves images)
+  in
+  check Alcotest.int "8 EADDs and one EMEAS per enclave" (6 * 9) (List.length requests);
+  let measurements =
+    List.filter_map
+      (function
+        | Ok (Types.Ok_measure { measurement }, _) -> Some measurement
+        | Ok (Types.Ok_unit, _) -> None
+        | _ -> Alcotest.fail "batched EADD/EMEAS failed")
+      (Platform.invoke_batch platform requests)
+  in
+  List.iteri
+    (fun i (image, measurement) ->
+      check Alcotest.bytes
+        (Printf.sprintf "enclave %d measurement" i)
+        (Sdk.expected_measurement image) measurement)
+    (List.combine images measurements)
+
 (* Execution is single-domain: a configuration asking for more
    domains is refused rather than silently run on one. *)
 let test_multi_domain_config_rejected () =
@@ -410,6 +464,8 @@ let suite =
         Alcotest.test_case "destroyed enclave unreachable" `Quick test_operations_on_destroyed_enclave;
         Alcotest.test_case "multiple enclaves coexist" `Quick test_multiple_enclaves_coexist;
         Alcotest.test_case "Config.domains = 2 rejected" `Quick test_multi_domain_config_rejected;
+        Alcotest.test_case "batched launch keeps per-enclave order" `Quick
+          test_batched_launch_measures_correctly;
       ] );
     ( "platform.memory",
       [
