@@ -57,9 +57,9 @@ type t = {
           (plaintext, KeyID 0, host-visible — Sec. IV-A data
           movement) *)
   mutable added_pages : (int * bool) list;
-      (** EADD history in issue order, (vpn, executable): ERETIRE
-          replays it to re-derive the measurement from the resident
-          pages before parking *)
+      (** EADD history, newest first, (vpn, executable): ERETIRE
+          replays it in issue order (reversed) to re-derive the
+          measurement from the resident pages before parking *)
 }
 
 (** Human-readable state label for reports and errors. *)

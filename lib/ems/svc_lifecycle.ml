@@ -141,7 +141,7 @@ let handle_add t ~sender ~enclave ~vpn ~data ~executable =
       measurement_update e ~vpn add_page;
       (* Record the EADD so ERETIRE can replay the measurement over
          the resident pages before parking (warm pool). *)
-      e.Enclave.added_pages <- e.Enclave.added_pages @ [ (vpn, executable) ];
+      e.Enclave.added_pages <- (vpn, executable) :: e.Enclave.added_pages;
       Types.Ok_unit
   end
 
@@ -249,7 +249,7 @@ let rehash_resident t (e : Enclave.t) =
           Hypertee_util.Bytes_ext.set_u64_le header 0 (Int64.of_int vpn);
           Hypertee_crypto.Sha256.feed_sub ctx header ~off:0 ~len:8;
           Hypertee_crypto.Sha256.update ctx data)
-      e.Enclave.added_pages;
+      (List.rev e.Enclave.added_pages);
     Some (Hypertee_crypto.Sha256.finalize ctx)
   with Exit -> None
 
