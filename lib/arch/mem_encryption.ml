@@ -354,7 +354,8 @@ let write_pages t mem ~key_id pages =
 
 (* [read_pages t mem ~key_id frames]: MAC-check and decrypt each
    frame into a fresh page, in input order. *)
-let read_pages t mem ~key_id frames = Array.map (fun frame -> read_page t mem ~key_id ~frame) frames
+let read_pages t mem ~key_id frames =
+  Array.map (fun frame -> read_page t mem ~key_id ~frame) frames
 
 let find_free_slot t =
   let rec go i =

@@ -101,14 +101,14 @@ val update_range :
 
 (** [find_free_slot t] finds the lowest free KeyID and *reserves*
     it: a later allocation cannot be handed the same slot before it
-    is programmed. The caller must then either [program] the slot (commit) or
-    [revoke] it (release, on any failure path between allocation and
-    programming). *)
+    is programmed. The caller must then either [program] the slot
+    (commit) or [revoke] it (release, on any failure path between
+    allocation and programming). *)
 val find_free_slot : t -> int option
 
 (** [write_pages t mem ~key_id pages] encrypts each [(frame, data)]
-    pair into its frame's DRAM. Frames must be distinct. Byte-identical to calling [write_page]
-    in a loop. *)
+    pair into its frame's DRAM. Frames must be distinct.
+    Byte-identical to calling [write_page] in a loop. *)
 val write_pages : t -> Phys_mem.t -> key_id:int -> (int * bytes) array -> unit
 
 (** [read_pages t mem ~key_id frames] MAC-checks and decrypts each

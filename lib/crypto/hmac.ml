@@ -6,7 +6,12 @@ let block = 64 (* SHA-256 block size *)
 type scratch = { pad : bytes; inner : Sha256.ctx; outer : Sha256.ctx; inner_digest : bytes }
 
 let scratch =
-  { pad = Bytes.create block; inner = Sha256.init (); outer = Sha256.init (); inner_digest = Bytes.create 32 }
+  {
+    pad = Bytes.create block;
+    inner = Sha256.init ();
+    outer = Sha256.init ();
+    inner_digest = Bytes.create 32;
+  }
 
 let hmac ~key msg =
   let { pad; inner; outer; inner_digest } = scratch in

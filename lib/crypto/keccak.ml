@@ -356,7 +356,12 @@ type sponge = {
 }
 
 let sponge =
-  { st = Array.make 50 0; partial = Bytes.create rate_bytes; partial_len = 0; mac_digest = Bytes.create 32 }
+  {
+    st = Array.make 50 0;
+    partial = Bytes.create rate_bytes;
+    partial_len = 0;
+    mac_digest = Bytes.create 32;
+  }
 
 let sponge_reset sp =
   Array.fill sp.st 0 50 0;
@@ -456,7 +461,11 @@ type keyed = {
 let keyed_init ~key =
   sponge_reset sponge;
   absorb sponge key ~off:0 ~len:(Bytes.length key);
-  { kst = Array.copy sponge.st; kpartial = Bytes.copy sponge.partial; kpartial_len = sponge.partial_len }
+  {
+    kst = Array.copy sponge.st;
+    kpartial = Bytes.copy sponge.partial;
+    kpartial_len = sponge.partial_len;
+  }
 
 let mac_28bit_keyed keyed data =
   Array.blit keyed.kst 0 sponge.st 0 50;

@@ -282,4 +282,6 @@ let publish_metrics t m =
   set_counter (counter m ~help:"segments delivered" "chan.segs_delivered") t.segs_delivered;
   set_counter (counter m ~help:"channel faults injected" "chan.faults_injected")
     t.faults_injected;
-  set_gauge (gauge m ~help:"live channel entries" "chan.live") (float_of_int (Hashtbl.length t.entries))
+  set_gauge
+    (gauge m ~help:"live channel entries" "chan.live")
+    (float_of_int (Hashtbl.length t.entries))

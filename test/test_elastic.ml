@@ -308,7 +308,8 @@ let test_batch_survives_restarts () =
     List.filter_map
       (function Ok (Types.Ok_created { enclave }, _) -> Some enclave | _ -> None)
       (Platform.invoke_batch platform
-         (List.init 8 (fun _ -> (Emcall.Os_kernel, Types.Create { config = Types.default_config }))))
+         (List.init 8 (fun _ ->
+              (Emcall.Os_kernel, Types.Create { config = Types.default_config }))))
   in
   check Alcotest.int "fleet created in one batch" 8 (List.length enclaves);
   let alloc_all ids what =
