@@ -404,8 +404,8 @@ let suite =
     ( "dataplane.mee",
       [
         Alcotest.test_case "write_page matches store" `Quick test_page_roundtrip_matches_store;
-        Alcotest.test_case "bulk pipeline == scalar loop" `Quick test_bulk_matches_scalar;
         Alcotest.test_case "key 0 passthrough" `Quick test_key0_passthrough;
+        Alcotest.test_case "bulk pipeline == scalar loop" `Quick test_bulk_matches_scalar;
         Alcotest.test_case "tamper detected on range ops" `Quick test_tamper_detected_on_range_read;
         Alcotest.test_case "cross-key never decrypts" `Quick test_cross_key_garbles;
         prop_read_range;

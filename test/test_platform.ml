@@ -463,7 +463,7 @@ let suite =
         Alcotest.test_case "destroy reclaims everything" `Quick test_destroy_reclaims_everything;
         Alcotest.test_case "destroyed enclave unreachable" `Quick test_operations_on_destroyed_enclave;
         Alcotest.test_case "multiple enclaves coexist" `Quick test_multiple_enclaves_coexist;
-        Alcotest.test_case "Config.domains = 2 rejected" `Quick test_multi_domain_config_rejected;
+        Alcotest.test_case "two domains refused" `Quick test_multi_domain_config_rejected;
         Alcotest.test_case "batched launch keeps per-enclave order" `Quick
           test_batched_launch_measures_correctly;
       ] );
