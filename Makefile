@@ -11,7 +11,7 @@ test: build
 # Deterministic quick availability sweep: exercises the fault injector,
 # EMCall retry/timeout, the EMS watchdog and integrity containment.
 chaos-smoke: build
-	dune exec bench/main.exe -- chaos --smoke
+	dune exec bin/hypertee_cli.exe -- chaos --smoke --seed 0xC4A05
 
 # Rolling-restart recovery scenario: kill and cold-restart every EMS
 # shard under live traffic, then verify zero lost enclaves, a silent

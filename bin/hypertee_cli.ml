@@ -4,15 +4,17 @@
      info                     platform and configuration summary
      demo                     run the full enclave-lifecycle demo
      attest                   run remote attestation end to end
-     primitives               list Table II primitives
      cost <primitive>         service-time breakdown on each EMS core
      slo                      the Fig. 6 queueing experiment for one setup
-     area                     the Table V area report
-     security                 the Table I / Table VI matrices
+     paper [target]           the paper's Sec. VII tables and figures
      chaos                    fault-injection availability sweep
      scale                    CS cores x EMS shards x batch-size sweep
+     cloud                    multi-tenant enclave-as-a-service SLO sweep
+     check                    invariant sweep and differential EMCall oracle
      trace <experiment>       traced run exported as Chrome trace_event JSON
-     metrics                  platform metrics registry after a mixed workload *)
+     metrics                  platform metrics registry after a mixed workload
+     conformance              secure-channel protocol conformance vectors
+     perf                     wall-clock data-plane benchmark and regression guard *)
 
 open Cmdliner
 module Types = Hypertee_ems.Types
@@ -112,23 +114,6 @@ let attest_cmd =
   Cmd.v (Cmd.info "attest" ~doc:"Run remote attestation end to end")
     Term.(ret (const run $ seed_arg))
 
-(* --- primitives --- *)
-
-let primitives_cmd =
-  let run () =
-    Table.print
-      ~headers:[ "Primitive"; "Priv."; "Semantics" ]
-      (List.map
-         (fun op ->
-           [
-             Types.opcode_name op;
-             (match Types.required_privilege op with Types.Os -> "OS" | Types.User -> "User");
-             Types.opcode_semantics op;
-           ])
-         Types.all_opcodes)
-  in
-  Cmd.v (Cmd.info "primitives" ~doc:"List the Table II primitives") Term.(const run $ const ())
-
 (* --- cost --- *)
 
 let cost_cmd =
@@ -226,40 +211,24 @@ let slo_cmd =
   Cmd.v (Cmd.info "slo" ~doc:"Run the Fig. 6 concurrent-primitive SLO experiment")
     Term.(const run $ seed_arg $ cs_arg $ ems_arg $ kind_arg $ requests_arg)
 
-(* --- area --- *)
+(* --- paper --- *)
 
-let area_cmd =
-  let run () =
-    Table.print
-      ~headers:[ "CS cores"; "CS mm2"; "EMS config"; "EMS mm2"; "overhead" ]
-      (List.map
-         (fun (r : Hypertee_arch.Area.report) ->
-           [
-             string_of_int r.Hypertee_arch.Area.cs_cores;
-             Printf.sprintf "%.0f" r.Hypertee_arch.Area.cs_area_mm2;
-             Printf.sprintf "%d %s" r.Hypertee_arch.Area.ems_cores
-               (Config.ems_kind_name r.Hypertee_arch.Area.ems_kind);
-             Printf.sprintf "%.2f" r.Hypertee_arch.Area.ems_area_mm2;
-             Printf.sprintf "%.2f%%" r.Hypertee_arch.Area.overhead_pct;
-           ])
-         (Hypertee_arch.Area.table_v ()))
+let paper_cmd =
+  let target_arg =
+    let targets = Hypertee_experiments.Paper.targets in
+    let doc =
+      "Table or figure to print: " ^ String.concat ", " (List.map fst targets)
+      ^ ". Prints all of them, in this order, when omitted."
+    in
+    Arg.(value & pos 0 (some (enum targets)) None & info [] ~docv:"TARGET" ~doc)
   in
-  Cmd.v (Cmd.info "area" ~doc:"Table V area report") Term.(const run $ const ())
-
-(* --- security --- *)
-
-let security_cmd =
-  let run () =
-    print_endline "Table I: security risks";
-    Table.print
-      ~headers:[ "Security Threats"; "Attack Management Tasks"; "Attack Enclaves" ]
-      (Hypertee.Security.table_i_rows ());
-    print_endline "\nTable VI: defense capability";
-    Table.print
-      ~headers:("TEE" :: List.map Hypertee.Security.attack_name Hypertee.Security.all_attacks)
-      (Hypertee.Security.table_vi_rows ())
+  let run = function
+    | Some render -> render ()
+    | None -> List.iter (fun (_, render) -> render ()) Hypertee_experiments.Paper.targets
   in
-  Cmd.v (Cmd.info "security" ~doc:"Table I and Table VI matrices") Term.(const run $ const ())
+  Cmd.v
+    (Cmd.info "paper" ~doc:"Reproduce the paper's evaluation tables and figures (Sec. VII)")
+    Term.(const run $ target_arg)
 
 (* --- chaos --- *)
 
@@ -485,13 +454,13 @@ let perf_cmd =
   in
   let baseline_arg =
     Arg.(
-      value & opt (some string) None
+      value & opt (some non_dir_file) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
             "Compare the fresh speedup-vs-reference ratios against the samples in $(docv) \
              (a previously written perf JSON) and exit non-zero on a regression beyond the \
              tolerance. Raw MB/s is not gated: it is machine-dependent, the ratios are \
-             not.")
+             not. A missing $(docv) is a command-line error.")
   in
   let tolerance_arg =
     Arg.(
@@ -508,15 +477,7 @@ let perf_cmd =
        same file (refreshing the committed numbers while gating
        against the old ones). *)
     let baseline_samples =
-      match baseline with
-      | None -> None
-      | Some path ->
-        if Sys.file_exists path then Some (path, Hypertee_experiments.Perf.load_baseline ~path)
-        else begin
-          Printf.printf
-            "WARNING: baseline %s not found; skipping the perf regression guard\n" path;
-          None
-        end
+      Option.map (fun path -> (path, Hypertee_experiments.Perf.load_baseline ~path)) baseline
     in
     let samples = Hypertee_experiments.Perf.run ~quick () in
     Hypertee_experiments.Perf.print samples;
@@ -557,7 +518,6 @@ let () =
        (Cmd.group ~default
           (Cmd.info "hypertee" ~version:"1.0.0" ~doc)
           [
-            info_cmd; demo_cmd; attest_cmd; primitives_cmd; cost_cmd; slo_cmd; area_cmd;
-            security_cmd; chaos_cmd; scale_cmd; cloud_cmd; check_cmd; trace_cmd; metrics_cmd;
-            conformance_cmd; perf_cmd;
+            info_cmd; demo_cmd; attest_cmd; cost_cmd; slo_cmd; paper_cmd; chaos_cmd; scale_cmd;
+            cloud_cmd; check_cmd; trace_cmd; metrics_cmd; conformance_cmd; perf_cmd;
           ]))

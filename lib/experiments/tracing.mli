@@ -1,6 +1,5 @@
 (** Traced experiment runs and the platform metrics report — the
-    backing for [hypertee trace] / [hypertee metrics] and for
-    [bench/main.exe trace].
+    backing for [hypertee trace] and [hypertee metrics].
 
     {!run} installs a fresh {!Hypertee_obs.Trace} tracer, replays a
     scaled-down version of one of the repo's experiments under it,

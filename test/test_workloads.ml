@@ -247,6 +247,21 @@ let test_flush_rate_magnitude () =
   (* Paper: 16.72 per billion; ours must be the same order. *)
   check Alcotest.bool "order of magnitude" true (f > 5.0 && f < 100.0)
 
+(* The paper harness: the target list is exactly the paper's
+   evaluation, each target once, and every renderer runs to
+   completion. *)
+let test_paper_targets () =
+  let expected =
+    [
+      "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "fig6"; "fig7"; "fig8a";
+      "fig8b"; "fig9"; "fig10"; "fig11"; "fig12"; "ablations";
+    ]
+  in
+  let names = List.map fst Hypertee_experiments.Paper.targets in
+  check Alcotest.(list string) "each target once" (List.sort compare expected)
+    (List.sort compare names);
+  List.iter (fun (_, run) -> run ()) Hypertee_experiments.Paper.targets
+
 let suite =
   [
     ( "workloads.profiles",
@@ -281,5 +296,6 @@ let suite =
         Alcotest.test_case "Fig. 8a shape" `Quick test_fig8a_shape;
         Alcotest.test_case "Fig. 11 bands" `Quick test_fig11_bands;
         Alcotest.test_case "flush rate magnitude" `Quick test_flush_rate_magnitude;
+        Alcotest.test_case "paper targets run" `Quick test_paper_targets;
       ] );
   ]
