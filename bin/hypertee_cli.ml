@@ -93,23 +93,18 @@ let attest_cmd =
     match Hypertee.Sdk.launch platform image with
     | Error m -> `Error (false, m)
     | Ok enclave -> (
-      match Hypertee.Sdk.enter platform ~enclave with
-      | Error m -> `Error (false, m)
-      | Ok session -> (
-        let rng = Hypertee_util.Xrng.create (Int64.of_int (seed + 1)) in
-        match
-          Hypertee.Verifier.attest_enclave ~rng ~ek:(Hypertee.Platform.ek_public platform)
-            ~ak:(Hypertee.Platform.ak_public platform)
-            ~expected_measurement:(Hypertee.Sdk.expected_measurement image)
-            session
-        with
-        | Ok outcome ->
-          Printf.printf "attestation OK\n  enclave measurement: %s\n  shared session key : %s\n"
-            (Hypertee_util.Bytes_ext.to_hex
-               outcome.Hypertee.Verifier.quote.Hypertee_ems.Attest.enclave_measurement)
-            (Hypertee_util.Bytes_ext.to_hex outcome.Hypertee.Verifier.session_key);
-          `Ok ()
-        | Error f -> `Error (false, Hypertee.Verifier.failure_message f)))
+      let expected_measurement = Hypertee.Sdk.expected_measurement image in
+      match
+        Hypertee.Secure_channel.establish platform ~listener:enclave ~expected_measurement ()
+      with
+      | Ok (client, server) ->
+        Printf.printf "attestation OK\n  enclave measurement: %s\n  secure channel     : %d\n"
+          (Hypertee_util.Bytes_ext.to_hex expected_measurement)
+          (Hypertee.Secure_channel.chan client);
+        ignore (Hypertee.Secure_channel.close client);
+        ignore (Hypertee.Secure_channel.close server);
+        `Ok ()
+      | Error m -> `Error (false, m))
   in
   Cmd.v (Cmd.info "attest" ~doc:"Run remote attestation end to end")
     Term.(ret (const run $ seed_arg))

@@ -13,11 +13,11 @@ let ok_or_die what = function
     Printf.eprintf "%s failed: %s\n" what (Types.error_message e);
     exit 1
 
+let image_of name =
+  Hypertee.Sdk.image_of_code ~code:(Bytes.of_string ("code of " ^ name)) ~data:Bytes.empty ()
+
 let launch platform name =
-  let image =
-    Hypertee.Sdk.image_of_code ~code:(Bytes.of_string ("code of " ^ name)) ~data:Bytes.empty ()
-  in
-  match Hypertee.Sdk.launch platform image with
+  match Hypertee.Sdk.launch platform (image_of name) with
   | Ok enclave -> (
     match Hypertee.Sdk.enter platform ~enclave with
     | Ok session -> (enclave, session)
@@ -36,11 +36,18 @@ let () =
   Printf.printf "enclaves: sender=%d receiver=%d eve=%d\n" sender_id receiver_id eve_id;
 
   (* 1. Local attestation: receiver proves its identity to the sender
-     before being granted access (paper Sec. VI). *)
-  (match Hypertee.Session.local_attest ~challenger:receiver ~verifier:sender with
-  | Ok key ->
-    Printf.printf "local attestation OK; negotiated key %s...\n"
-      (String.sub (Hypertee_util.Bytes_ext.to_hex key) 0 12)
+     before being granted access (paper Sec. VI). The sender opens an
+     enclave-to-enclave secure channel pinned to the receiver's
+     measurement; both sides present EATTEST quotes. *)
+  (match
+     Hypertee.Secure_channel.establish platform ~initiator:sender_id ~listener:receiver_id
+       ~expected_measurement:(Hypertee.Sdk.expected_measurement (image_of "receiver")) ()
+   with
+  | Ok (at_sender, at_receiver) ->
+    Printf.printf "local attestation OK; secure channel %d\n"
+      (Hypertee.Secure_channel.chan at_sender);
+    ignore (Hypertee.Secure_channel.close at_sender);
+    ignore (Hypertee.Secure_channel.close at_receiver)
   | Error m ->
     Printf.eprintf "local attestation: %s\n" m;
     exit 1);

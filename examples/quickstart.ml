@@ -51,25 +51,21 @@ let () =
   | Ok va -> Printf.printf "EALLOC gave 8 pages at va %#x\n" va
   | Error e -> Printf.printf "EALLOC failed: %s\n" (Hypertee_ems.Types.error_message e));
 
-  (* 6. Remote attestation: a remote user verifies the platform (EK)
-     and the enclave quote (AK), checks the measurement, and ends up
-     with a session key shared with the enclave. *)
-  let verifier_rng = Hypertee_util.Xrng.create 2026_07_04L in
-  (match
-     Hypertee.Verifier.attest_enclave ~rng:verifier_rng
-       ~ek:(Hypertee.Platform.ek_public platform)
-       ~ak:(Hypertee.Platform.ak_public platform)
-       ~expected_measurement:(Hypertee.Sdk.expected_measurement image)
-       session
-   with
-  | Ok outcome ->
-    Printf.printf "remote attestation OK; shared key %s...\n"
-      (String.sub (Hypertee_util.Bytes_ext.to_hex outcome.Hypertee.Verifier.session_key) 0 16)
-  | Error f -> Printf.printf "remote attestation failed: %s\n" (Hypertee.Verifier.failure_message f));
+  (* 6. Remote attestation: a remote user opens an attested secure
+     channel to the enclave. Its quote must verify under the platform
+     EK/AK, commit to this handshake and match the expected
+     measurement; both ends then hold fresh record keys. *)
+  let* client, server =
+    Hypertee.Secure_channel.establish platform ~listener:enclave
+      ~expected_measurement:(Hypertee.Sdk.expected_measurement image) ()
+  in
+  Printf.printf "remote attestation OK; secure channel %d\n" (Hypertee.Secure_channel.chan client);
+  let* () = Hypertee.Secure_channel.close client in
+  let* () = Hypertee.Secure_channel.close server in
 
   (* 7. Host <-> enclave staging window: the host passes data in
-     through plaintext staging pages; secrets would arrive encrypted
-     under the attestation session key. *)
+     through plaintext staging pages; secrets would travel over the
+     attested channel instead. *)
   let* () = Hypertee.Sdk.host_write_staging platform ~enclave ~off:0 (Bytes.of_string "input!") in
   let staged = Hypertee.Session.read session ~va:(Hypertee.Session.staging_va session) ~len:6 in
   Printf.printf "enclave sees staged input: %S\n" (Bytes.to_string staged);

@@ -2,7 +2,7 @@
 
    A user enclave holds a confidential model; a driver enclave owns
    the Gemmini accelerator. The model is provisioned to the user
-   enclave under a remote-attestation session key, then inference
+   enclave over a remotely attested secure channel, then inference
    data flows to the driver enclave over encrypted shared memory and
    onward to the accelerator through an EMS-configured DMA window.
    Finally the timing model compares this against the conventional
@@ -11,9 +11,11 @@
    Run with: dune exec examples/secure_inference.exe *)
 
 module Types = Hypertee_ems.Types
+module Secure_channel = Hypertee.Secure_channel
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 let ok_or_die what = function Ok v -> v | Error e -> die "%s: %s" what (Types.error_message e)
+let ok_or what = function Ok v -> v | Error m -> die "%s: %s" what m
 
 let () =
   let platform = Hypertee.Platform.create () in
@@ -30,42 +32,38 @@ let () =
   let user = match Hypertee.Sdk.enter platform ~enclave:user_id with Ok s -> s | Error m -> die "enter: %s" m in
   let driver = match Hypertee.Sdk.enter platform ~enclave:driver_id with Ok s -> s | Error m -> die "enter: %s" m in
 
-  (* 1. Remote user attests the user enclave, then provisions the
-     (confidential) model weights encrypted under the session key,
-     via the untrusted host staging window. *)
-  let rng = Hypertee_util.Xrng.create 0xD00DL in
-  let outcome =
-    match
-      Hypertee.Verifier.attest_enclave ~rng ~ek:(Hypertee.Platform.ek_public platform)
-        ~ak:(Hypertee.Platform.ak_public platform)
-        ~expected_measurement:(Hypertee.Sdk.expected_measurement user_image)
-        user
-    with
-    | Ok o -> o
-    | Error f -> die "attestation: %s" (Hypertee.Verifier.failure_message f)
+  (* 1. Remote user attests the user enclave over a secure channel
+     pinned to its expected measurement, then provisions the
+     (confidential) model weights as a sealed record; the EMS relays
+     only ciphertext segments. *)
+  let client, at_user =
+    ok_or "attestation"
+      (Secure_channel.establish platform ~listener:user_id
+         ~expected_measurement:(Hypertee.Sdk.expected_measurement user_image) ())
   in
-  let session_key = outcome.Hypertee.Verifier.session_key in
   let weights = Bytes.of_string "W = [[0.12, -0.7], [1.4, 0.003]]  (confidential)" in
-  let nonce = Bytes.make 16 '\042' in
-  let encrypted_weights = Hypertee_crypto.Aes.ctr (Hypertee_crypto.Aes.expand session_key) ~nonce weights in
-  (match Hypertee.Sdk.host_write_staging platform ~enclave:user_id ~off:0 encrypted_weights with
-  | Ok () -> ()
-  | Error m -> die "staging: %s" m);
-  (* Inside the enclave: read ciphertext from staging, decrypt with
-     the attested session key, keep plaintext only in enclave memory. *)
-  let staged =
-    Hypertee.Session.read user ~va:(Hypertee.Session.staging_va user) ~len:(Bytes.length encrypted_weights)
-  in
-  let decrypted = Hypertee_crypto.Aes.ctr (Hypertee_crypto.Aes.expand session_key) ~nonce staged in
-  assert (Bytes.equal decrypted weights);
-  Hypertee.Session.write user ~va:(Hypertee.Session.heap_va user) decrypted;
-  print_endline "model provisioned into the user enclave under the attestation key";
+  ok_or "send weights" (Secure_channel.send client weights);
+  (* Inside the enclave: open the record and keep the plaintext only
+     in enclave memory. *)
+  (match ok_or "receive weights" (Secure_channel.recv at_user) with
+  | [ Hypertee_channel.Record.Message m ] when Bytes.equal m weights ->
+    Hypertee.Session.write user ~va:(Hypertee.Session.heap_va user) m
+  | _ -> die "weights did not arrive intact");
+  ok_or "close" (Secure_channel.close client);
+  ok_or "close" (Secure_channel.close at_user);
+  print_endline "model provisioned into the user enclave over the attested channel";
 
   (* 2. Data path: user enclave -> driver enclave over shared memory
-     (local attestation, then ESHMGET/ESHMSHR/ESHMAT). *)
-  (match Hypertee.Session.local_attest ~challenger:driver ~verifier:user with
-  | Ok _ -> print_endline "driver enclave locally attested"
-  | Error m -> die "local attest: %s" m);
+     (local attestation — an enclave-to-enclave channel pinned to the
+     driver's measurement — then ESHMGET/ESHMSHR/ESHMAT). *)
+  let at_user, at_driver =
+    ok_or "local attest"
+      (Secure_channel.establish platform ~initiator:user_id ~listener:driver_id
+         ~expected_measurement:(Hypertee.Sdk.expected_measurement driver_image) ())
+  in
+  ok_or "close" (Secure_channel.close at_user);
+  ok_or "close" (Secure_channel.close at_driver);
+  print_endline "driver enclave locally attested";
   let shm = ok_or_die "ESHMGET" (Hypertee.Session.shmget user ~pages:8 ~max_perm:Types.Read_write) in
   ok_or_die "ESHMSHR" (Hypertee.Session.shmshr user ~shm ~grantee:driver_id ~perm:Types.Read_write);
   let user_va = ok_or_die "ESHMAT" (Hypertee.Session.shmat user ~shm ~perm:Types.Read_write) in

@@ -39,36 +39,20 @@ let auth ?(quote = true) ?(require_peer_quote = false) () =
 
 let binding = Bytes.init Wire.binding_len (fun i -> Char.chr (0x10 + i))
 
-(* Drive a full three-flight handshake over an in-memory loopback;
-   returns the two established connections plus the raw flights. *)
+(* A full three-flight handshake between two fresh machines over the
+   in-memory loopback; the two established connections plus the raw
+   flights. *)
 let establish ?(seed_i = 11L) ?(seed_r = 22L) ?(auth_i = auth ~quote:false ())
     ?(auth_r = auth ()) ?(binding_i = binding) ?(binding_r = binding) ?rekey_after () =
   let rng_i = Hypertee_util.Xrng.create seed_i in
   let rng_r = Hypertee_util.Xrng.create seed_r in
-  let i = Handshake.create ~role:Initiator ~rng:rng_i ~binding:binding_i ~auth:auth_i ?rekey_after () in
-  let r = Handshake.create ~role:Responder ~rng:rng_r ~binding:binding_r ~auth:auth_r ?rekey_after () in
-  let flights = ref [] in
-  let rec pump from_i segs =
-    match segs with
-    | [] -> Ok ()
-    | seg :: rest -> (
-      flights := (from_i, seg) :: !flights;
-      let dst = if from_i then r else i in
-      match Handshake.on_segment dst seg with
-      | Error e -> Error e
-      | Ok replies ->
-        let* () = pump (not from_i) replies in
-        pump from_i rest)
+  let initiator =
+    Handshake.create ~role:Initiator ~rng:rng_i ~binding:binding_i ~auth:auth_i ?rekey_after ()
   in
-  match Handshake.start i with
-  | Error e -> Error e
-  | Ok first -> (
-    match pump true first with
-    | Error e -> Error e
-    | Ok () -> (
-      match (Handshake.conn i, Handshake.conn r) with
-      | Some ci, Some cr -> Ok (ci, cr, List.rev !flights)
-      | _ -> Error "handshake did not complete"))
+  let responder =
+    Handshake.create ~role:Responder ~rng:rng_r ~binding:binding_r ~auth:auth_r ?rekey_after ()
+  in
+  Handshake.loopback ~initiator ~responder
 
 let established_pair ?rekey_after () =
   match establish ?rekey_after () with
@@ -147,7 +131,9 @@ let v_directions () =
   | Error e -> Error e
   | Ok (_, _, flights) ->
     let dirs = List.map fst flights in
-    check (dirs = [ true; false; true ]) "flight directions must alternate I, R, I"
+    check
+      (dirs = [ Handshake.Initiator; Responder; Initiator ])
+      "flight directions must alternate I, R, I"
 
 (* --- record-layer vectors (§3, §4) --- *)
 

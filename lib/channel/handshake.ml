@@ -311,3 +311,24 @@ let on_segment t seg =
       | I_wait_attest, m when m = Wire.hs_server_attest -> on_server_attest t seg body
       | R_wait_finish, m when m = Wire.hs_client_finish -> on_client_finish t seg body
       | _ -> fail t (Printf.sprintf "unexpected handshake message type %d" msg_type)))
+
+let loopback ~initiator ~responder =
+  let ( let* ) = Result.bind in
+  let flights = ref [] in
+  let rec pump from segs =
+    match segs with
+    | [] -> Ok ()
+    | seg :: rest ->
+      flights := (from, seg) :: !flights;
+      let dst, peer =
+        match from with Initiator -> (responder, Responder) | Responder -> (initiator, Initiator)
+      in
+      let* replies = on_segment dst seg in
+      let* () = pump peer replies in
+      pump from rest
+  in
+  let* first = start initiator in
+  let* () = pump Initiator first in
+  match (initiator.conn, responder.conn) with
+  | Some ci, Some cr -> Ok (ci, cr, List.rev !flights)
+  | _ -> Error "handshake did not complete"

@@ -69,3 +69,15 @@ val complete : t -> bool
 
 (** The role this machine was created with. *)
 val role : t -> role
+
+(** [loopback ~initiator ~responder] runs a complete handshake
+    between two freshly created machines over an in-memory pipe: it
+    starts [initiator] and delivers every flight to the other side
+    until neither has anything left to send. On success it returns
+    both established connections and every flight in transmission
+    order, each tagged with its sender's role. The first failure on
+    either side is returned. For peers that share no transport — the
+    conformance suite, and EMS-internal peers such as migrating
+    shards, which draw their own binding. *)
+val loopback :
+  initiator:t -> responder:t -> (Record.t * Record.t * (role * bytes) list, string) result

@@ -625,11 +625,16 @@ let migrate ?crash_after t ~enclave ~target =
               | Ok _ ->
                 if crashes_after Restored then crashed ~target_copy:true Restored
                 else begin
-                  (* Phase 5: re-attest over a SIGMA channel — the
-                     target proves it rebuilt the same measured
-                     identity before the source gives the enclave
-                     up. *)
-                  let module Sigma = Hypertee_crypto.Sigma in
+                  (* Phase 5: re-attest over the htch1 handshake. The
+                     source EMS is the initiator and presents no quote;
+                     the target EMS answers with a quote of the
+                     restored copy, which the source pins to the
+                     measurement it checkpointed — so the target proves
+                     it rebuilt the same measured identity before the
+                     source gives the enclave up. The shards share no
+                     ECHOPEN channel, so the EMS draws the binding. *)
+                  let module Handshake = Hypertee_channel.Handshake in
+                  let module Attest = Hypertee_ems.Attest in
                   let attested =
                     match Runtime.find_enclave tgt_rt enclave with
                     | None -> false
@@ -637,30 +642,30 @@ let migrate ?crash_after t ~enclave ~target =
                       match e.Hypertee_ems.Enclave.measurement with
                       | None -> false
                       | Some m ->
-                        let initiator = Sigma.start t.recovery_rng Sigma.Initiator in
-                        let responder = Sigma.start t.recovery_rng Sigma.Responder in
-                        let _, mac_i =
-                          Sigma.derive_keys initiator ~peer_public:(Sigma.public_of responder)
+                        let quote_restored ~user_data =
+                          Ok
+                            (Attest.quote_to_bytes
+                               (Attest.make_quote t.keys
+                                  ~platform_measurement:t.platform_measurement
+                                  ~enclave_measurement:m ~user_data))
                         in
-                        let _, mac_r =
-                          Sigma.derive_keys responder ~peer_public:(Sigma.public_of initiator)
+                        let verify_quote ~quote ~user_data =
+                          Attest.verify_quote ~ek:(Keymgmt.ek_public t.keys)
+                            ~ak:(Keymgmt.ak_public t.keys)
+                            ~platform_measurement:t.platform_measurement
+                            ~enclave_measurement:source_measurement ~user_data quote
                         in
-                        let quote =
-                          Hypertee_ems.Attest.make_quote t.keys
-                            ~platform_measurement:t.platform_measurement ~enclave_measurement:m
-                            ~user_data:(Bytes.of_string "hypertee-migration-v1")
+                        let binding =
+                          Hypertee_util.Xrng.bytes t.recovery_rng Hypertee_channel.Wire.binding_len
                         in
-                        let transcript =
-                          Sigma.transcript
-                            ~initiator_pub:(Sigma.public_of initiator)
-                            ~responder_pub:(Sigma.public_of responder)
-                            ~payload:(Hypertee_ems.Attest.quote_to_bytes quote)
+                        let machine role make_quote =
+                          Handshake.create ~role ~rng:t.recovery_rng ~binding
+                            ~auth:{ Handshake.make_quote; verify_quote; require_peer_quote = false }
+                            ()
                         in
-                        let tag = Sigma.authenticate ~mac_key:mac_r transcript in
-                        Sigma.check ~mac_key:mac_i ~transcript ~tag
-                        && Hypertee_ems.Attest.verify_quote ~ek:(Keymgmt.ek_public t.keys)
-                             ~ak:(Keymgmt.ak_public t.keys) quote
-                        && Bytes.equal m source_measurement)
+                        let initiator = machine Handshake.Initiator None in
+                        let responder = machine Handshake.Responder (Some quote_restored) in
+                        Result.is_ok (Handshake.loopback ~initiator ~responder))
                   in
                   if not attested then begin
                     destroy_target_copy ();

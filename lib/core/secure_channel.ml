@@ -24,23 +24,9 @@ let ( let* ) = Result.bind
 (* --- attestation plumbing ------------------------------------------ *)
 
 let verify_quote platform ?expected_measurement () ~quote ~user_data =
-  match Attest.quote_of_bytes quote with
-  | None -> Error "malformed quote"
-  | Some q ->
-    if
-      not
-        (Attest.verify_quote ~ek:(Platform.ek_public platform) ~ak:(Platform.ak_public platform)
-           q)
-    then Error "quote signature rejected"
-    else if not (Bytes.equal q.Attest.user_data user_data) then
-      Error "quote does not commit to this handshake"
-    else if not (Bytes.equal q.Attest.platform_measurement (Platform.platform_measurement platform))
-    then Error "quote from a foreign platform"
-    else (
-      match expected_measurement with
-      | Some m when not (Bytes.equal q.Attest.enclave_measurement m) ->
-        Error "unexpected enclave measurement"
-      | _ -> Ok ())
+  Attest.verify_quote ~ek:(Platform.ek_public platform) ~ak:(Platform.ak_public platform)
+    ~platform_measurement:(Platform.platform_measurement platform)
+    ?enclave_measurement:expected_measurement ~user_data quote
 
 let enclave_quoter platform ~enclave ~user_data =
   let* resp =
@@ -210,16 +196,17 @@ let recv s =
 (* ECHCLOSE is single-sided: whichever endpoint closes first removes
    the fabric entry, so the peer's own close (and its close_notify
    flush) legitimately finds no channel. That race is not an error. *)
+let tolerant platform ~caller request =
+  match Platform.invoke platform ~caller request with
+  | Ok (Types.Err Types.No_such_channel) -> Ok ()
+  | Ok (Types.Err e) -> Error ("gate: " ^ Types.error_message e)
+  | Ok _ -> Ok ()
+  | Error Emcall.Cross_privilege -> Error "gate: cross-privilege"
+  | Error Emcall.Mailbox_full -> Error "gate: mailbox full"
+  | Error (Emcall.Timeout | Emcall.Busy) -> Error "gate: timeout or busy"
+
 let close s =
-  let tolerant request =
-    match Platform.invoke s.s_platform ~caller:s.s_caller request with
-    | Ok (Types.Err Types.No_such_channel) -> Ok ()
-    | Ok (Types.Err e) -> Error ("gate: " ^ Types.error_message e)
-    | Ok _ -> Ok ()
-    | Error Emcall.Cross_privilege -> Error "gate: cross-privilege"
-    | Error Emcall.Mailbox_full -> Error "gate: mailbox full"
-    | Error (Emcall.Timeout | Emcall.Busy) -> Error "gate: timeout or busy"
-  in
+  let tolerant = tolerant s.s_platform ~caller:s.s_caller in
   let alert = Record.close s.s_conn in
   let* () =
     List.fold_left
@@ -246,8 +233,18 @@ let establish platform ~listener ?initiator ?expected_measurement ?rekey_after (
       ~require_peer_quote:(Option.is_some initiator) ()
   in
   let* client = connect platform ~caller ~listener ~auth:client_side ?rekey_after () in
-  let* server = accept platform ~enclave:listener ~chan:client.chan ~auth:server_side ?rekey_after () in
-  let* () = run_handshake client server in
-  let* cs = session_of_endpoint client in
-  let* ss = session_of_endpoint server in
-  Ok (cs, ss)
+  let established =
+    let* server =
+      accept platform ~enclave:listener ~chan:client.chan ~auth:server_side ?rekey_after ()
+    in
+    let* () = run_handshake client server in
+    let* cs = session_of_endpoint client in
+    let* ss = session_of_endpoint server in
+    Ok (cs, ss)
+  in
+  (* A refused session must not leave its channel, and the channel's
+     live binding, in the fabric until the listener is destroyed. *)
+  if Result.is_error established then
+    ignore
+      (tolerant platform ~caller (Types.Chan_close { chan = client.chan }) : (unit, string) result);
+  established

@@ -127,7 +127,9 @@ val close : session -> (unit, string) result
     software ([User_host]); with it, the channel is
     enclave-to-enclave and the responder demands the initiator's
     quote (§5.3). [expected_measurement] pins the listener's
-    measurement on the client side. *)
+    measurement on the client side. This is the platform's remote
+    attestation (host client) and local attestation (enclave
+    initiator). A refused establishment ECHCLOSEs its channel. *)
 val establish :
   Platform.t ->
   listener:Hypertee_ems.Types.enclave_id ->

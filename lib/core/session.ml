@@ -155,35 +155,6 @@ let attest t ~user_data =
   | Ok _ -> Error (Types.Invalid_argument_ "unexpected response")
   | Error e -> Error e
 
-let local_attest ~challenger ~verifier =
-  check_live challenger;
-  check_live verifier;
-  if not (Platform.mem challenger.platform == Platform.mem verifier.platform) then
-    Error "enclaves are not on the same platform"
-  else begin
-    (* Both sides run a DH exchange; the verifier's report is keyed by
-       the challenger's measurement (Sec. VI). *)
-    let keys = Platform.Internals.keys challenger.platform in
-    let cm = Enclave.measurement_exn challenger.enclave in
-    let vm = Enclave.measurement_exn verifier.enclave in
-    let rng = Platform.rng challenger.platform in
-    let a = Hypertee_crypto.Dh.generate rng in
-    let b = Hypertee_crypto.Dh.generate rng in
-    let report = Hypertee_ems.Attest.make_report keys ~verifier_measurement:vm ~challenger_measurement:cm in
-    if not (Hypertee_ems.Attest.verify_report keys report) then Error "report verification failed"
-    else begin
-      let k1 =
-        Hypertee_crypto.Dh.session_key ~secret:a.Hypertee_crypto.Dh.secret
-          ~peer_public:b.Hypertee_crypto.Dh.public ~context:"hypertee-local-attest"
-      in
-      let k2 =
-        Hypertee_crypto.Dh.session_key ~secret:b.Hypertee_crypto.Dh.secret
-          ~peer_public:a.Hypertee_crypto.Dh.public ~context:"hypertee-local-attest"
-      in
-      if Bytes.equal k1 k2 then Ok k1 else Error "key agreement failed"
-    end
-  end
-
 let exit t =
   match lift (invoke t (Types.Exit { enclave = enclave_id t })) with
   | Ok Types.Ok_unit ->

@@ -68,12 +68,6 @@ val shmdes : t -> shm:Hypertee_ems.Types.shm_id -> (unit, Hypertee_ems.Types.err
 (** [attest t ~user_data] — EATTEST quote bytes. *)
 val attest : t -> user_data:bytes -> (bytes, Hypertee_ems.Types.error) result
 
-(** Local attestation between two running enclaves (Sec. VI): the
-    challenger proves its identity to the verifier; both learn a
-    shared session key. *)
-val local_attest :
-  challenger:t -> verifier:t -> (bytes (* shared key *), string) result
-
 (** EEXIT: leave the enclave; the session becomes unusable. *)
 val exit : t -> (unit, Hypertee_ems.Types.error) result
 

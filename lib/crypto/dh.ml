@@ -21,7 +21,3 @@ let valid_public e =
 let shared_secret ~secret ~peer_public =
   if not (valid_public peer_public) then invalid_arg "Dh.shared_secret: degenerate public element";
   Bignum.mod_pow ~base:peer_public ~exp:secret ~modulus:p
-
-let session_key ~secret ~peer_public ~context =
-  let raw = Bignum.to_bytes_be ~len:32 (shared_secret ~secret ~peer_public) in
-  Hmac.derive ~ikm:raw ~salt:Bytes.empty ~info:context 16

@@ -1,11 +1,11 @@
 (** Diffie–Hellman key agreement over Z_p*, p = 2^255 − 19, g = 2.
 
-    Local attestation (Sec. VI) negotiates a symmetric key between
-    two enclaves with a DH exchange; remote attestation's SIGMA flow
-    uses the same group. The paper cites Curve25519 ECDH — we use the
-    multiplicative group over the same prime, which exercises the same
-    code path (keygen, shared-secret, key-derivation) with our
-    from-scratch bignum. *)
+    The group under the SIGMA exchange ({!Sigma}) that the htch1
+    handshake runs for every attested key exchange — remote and local
+    attestation, shard and CVM migration (Sec. VI). The paper cites
+    Curve25519 ECDH — we use the multiplicative group over the same
+    prime, which exercises the same code path (keygen, shared secret)
+    with our from-scratch bignum. *)
 
 type keypair = { secret : Bignum.t; public : Bignum.t }
 
@@ -19,10 +19,6 @@ val generate : Hypertee_util.Xrng.t -> keypair
 
 (** [shared_secret ~secret ~peer_public] is the raw group element. *)
 val shared_secret : secret:Bignum.t -> peer_public:Bignum.t -> Bignum.t
-
-(** [session_key ~secret ~peer_public ~context] runs the raw secret
-    through HKDF with [context] as info, yielding a 16-byte AES key. *)
-val session_key : secret:Bignum.t -> peer_public:Bignum.t -> context:string -> bytes
 
 (** [valid_public e] checks 1 < e < p − 1 (rejects degenerate
     elements an attacker could inject). *)

@@ -1,9 +1,8 @@
 (** HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869).
 
     All of HyperTEE's key derivation (Sec. VI, "Key management") runs
-    through HKDF: attestation key from SK + salt, report keys from
-    challenger measurement + SK, sealing keys from enclave
-    measurement + SK, memory keys from SK + measurement. *)
+    through HKDF: attestation key from SK + salt, sealing keys from
+    enclave measurement + SK, memory keys from SK + measurement. *)
 
 (** 32-byte HMAC-SHA256 tag. Any key length. *)
 val hmac : key:bytes -> bytes -> bytes

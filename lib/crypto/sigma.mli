@@ -5,8 +5,9 @@
     and its measurements with EK/AK-backed certificates; both ends
     derive session and MAC keys from the DH secret and authenticate
     the exchange with a MAC. This module implements the protocol
-    core over abstract "quote" payloads so that the EMS attestation
-    task and the verifier model share one implementation. *)
+    core over abstract "quote" payloads; its one user is the htch1
+    handshake ([Hypertee_channel.Handshake]), which every attested
+    key exchange on the platform runs. *)
 
 type role = Initiator | Responder
 

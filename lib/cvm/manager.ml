@@ -272,60 +272,74 @@ let restore t snap =
       restore_with t snap ~key_bytes ~root ~measurement:cvm.measurement
     | _ -> Error "no snapshot key material retained for this CVM")
 
-(* Migration (Sec. IX): remote attestation between source and
-   destination EMSes establishes an encrypted channel; the snapshot
-   key and root hash cross inside it; pages cross as ciphertext. *)
+(* Migration (Sec. IX): the source and destination EMSes run a mutual
+   htch1 handshake in which each quotes the CVM's measurement under
+   its own platform keys and pins the peer's quote to that same
+   measurement on the peer's published platform. The snapshot key and
+   root hash then cross as one sealed record; pages cross as
+   ciphertext. *)
 let migrate ~src ~dst ~rng id =
   let* cvm = find src id in
-  (* 1. Mutual platform attestation: each side signs its platform
-     measurement + DH share with its EK; each verifies the peer. *)
-  let src_dh = Hypertee_crypto.Dh.generate rng in
-  let dst_dh = Hypertee_crypto.Dh.generate rng in
-  let sign t dh =
-    let keys = Hypertee.Platform.Internals.keys t.platform in
-    let body =
-      Bytes.cat
-        (Hypertee.Platform.platform_measurement t.platform)
-        (Hypertee_crypto.Bignum.to_bytes_be ~len:32 dh.Hypertee_crypto.Dh.public)
-    in
-    (body, Keymgmt.sign_with_ek keys body)
+  let module Handshake = Hypertee_channel.Handshake in
+  let module Record = Hypertee_channel.Record in
+  let module Attest = Hypertee_ems.Attest in
+  let module Platform = Hypertee.Platform in
+  let auth ~self ~peer =
+    {
+      Handshake.make_quote =
+        Some
+          (fun ~user_data ->
+            Ok
+              (Attest.quote_to_bytes
+                 (Attest.make_quote (Platform.Internals.keys self.platform)
+                    ~platform_measurement:(Platform.platform_measurement self.platform)
+                    ~enclave_measurement:cvm.measurement ~user_data)));
+      verify_quote =
+        (fun ~quote ~user_data ->
+          Attest.verify_quote ~ek:(Platform.ek_public peer.platform)
+            ~ak:(Platform.ak_public peer.platform)
+            ~platform_measurement:(Platform.platform_measurement peer.platform)
+            ~enclave_measurement:cvm.measurement ~user_data quote);
+      require_peer_quote = true;
+    }
   in
-  let src_body, src_sig = sign src src_dh in
-  let dst_body, dst_sig = sign dst dst_dh in
-  let verify_peer t body signature =
-    Hypertee_crypto.Rsa.verify (Hypertee.Platform.ek_public t.platform) ~msg:body ~signature
+  let binding = Hypertee_util.Xrng.bytes rng Hypertee_channel.Wire.binding_len in
+  let machine role auth =
+    Handshake.create ~role ~rng:(Hypertee_util.Xrng.split rng) ~binding ~auth ()
   in
-  if not (verify_peer dst dst_body dst_sig) then Error "destination attestation failed"
-  else if not (verify_peer src src_body src_sig) then Error "source attestation failed"
-  else begin
-    (* 2. Channel keys from the attested DH shares. *)
-    let channel_src =
-      Hypertee_crypto.Dh.session_key ~secret:src_dh.Hypertee_crypto.Dh.secret
-        ~peer_public:dst_dh.Hypertee_crypto.Dh.public ~context:"cvm-migration"
+  let initiator = machine Handshake.Initiator (auth ~self:src ~peer:dst) in
+  let responder = machine Handshake.Responder (auth ~self:dst ~peer:src) in
+  let* at_src, at_dst, _ =
+    Result.map_error
+      (fun e -> "mutual attestation failed: " ^ e)
+      (Handshake.loopback ~initiator ~responder)
+  in
+  let* snap = snapshot src id in
+  let key_bytes = Option.get cvm.snapshot_key in
+  let root = Option.get cvm.snapshot_root in
+  let record_err e = "key transfer: " ^ Record.error_message e in
+  let* segs = Result.map_error record_err (Record.seal_message at_src (Bytes.cat key_bytes root)) in
+  (* --- ciphertext pages + the sealed (key || root) record travel to dst --- *)
+  let* events =
+    List.fold_left
+      (fun acc seg ->
+        let* evs = acc in
+        let* more = Result.map_error record_err (Record.deliver at_dst seg) in
+        Ok (evs @ more))
+      (Ok []) segs
+  in
+  match events with
+  | [ Record.Message payload ] ->
+    let key_rx = Bytes.sub payload 0 16 in
+    let root_rx = Bytes.sub payload 16 (Bytes.length payload - 16) in
+    Record.wipe at_src;
+    Record.wipe at_dst;
+    (* Verified restore on the destination, then tear down the source copy. *)
+    let* new_id =
+      restore_with dst snap ~key_bytes:key_rx ~root:root_rx ~measurement:cvm.measurement
     in
-    let channel_dst =
-      Hypertee_crypto.Dh.session_key ~secret:dst_dh.Hypertee_crypto.Dh.secret
-        ~peer_public:src_dh.Hypertee_crypto.Dh.public ~context:"cvm-migration"
-    in
-    if not (Bytes.equal channel_src channel_dst) then Error "channel establishment failed"
-    else begin
-      (* 3. Snapshot on the source; wrap (key || root) in the channel. *)
-      let* snap = snapshot src id in
-      let key_bytes = Option.get cvm.snapshot_key in
-      let root = Option.get cvm.snapshot_root in
-      let chan = Hypertee_crypto.Aes.expand channel_src in
-      let nonce = Hypertee_util.Xrng.bytes rng 16 in
-      let wrapped = Hypertee_crypto.Aes.ctr chan ~nonce (Bytes.cat key_bytes root) in
-      (* --- ciphertext pages + (nonce, wrapped) travel to dst --- *)
-      let unwrapped = Hypertee_crypto.Aes.ctr (Hypertee_crypto.Aes.expand channel_dst) ~nonce wrapped in
-      let key_rx = Bytes.sub unwrapped 0 16 in
-      let root_rx = Bytes.sub unwrapped 16 (Bytes.length unwrapped - 16) in
-      (* 4. Verified restore on the destination. *)
-      let* new_id = restore_with dst snap ~key_bytes:key_rx ~root:root_rx ~measurement:cvm.measurement in
-      (* 5. Tear down the source copy. *)
-      let* () = destroy src id in
-      Ok new_id
-    end
-  end
+    let* () = destroy src id in
+    Ok new_id
+  | _ -> Error "key transfer: expected exactly one message"
 
 let tamper_detections t = t.tamper_detections

@@ -65,11 +65,13 @@ val snapshot : t -> cvm_id -> (snapshot, string) result
     A tampered page is reported and nothing is restored. *)
 val restore : t -> snapshot -> (cvm_id, string) result
 
-(** [migrate ~src ~dst id] — full migration flow: mutual platform
-    attestation (EK-signed platform measurements), DH channel, key +
-    root-hash transfer inside the channel, encrypted page transfer,
-    verified restore on [dst], source destroyed. Returns the CVM's id
-    on the destination. *)
+(** [migrate ~src ~dst ~rng id] — full migration flow: a mutually
+    attested htch1 handshake between the two EMSes (each quotes the
+    CVM's measurement and pins the peer's quote to it; binding and
+    handshake randomness come from [rng]), key + root-hash transfer
+    as one sealed record, encrypted page transfer, verified restore
+    on [dst], source destroyed. Returns the CVM's id on the
+    destination. *)
 val migrate :
   src:t -> dst:t -> rng:Hypertee_util.Xrng.t -> cvm_id -> (cvm_id, string) result
 

@@ -60,7 +60,7 @@ let quote_of_bytes b =
       }
   | _ -> None
 
-let verify_quote ~ek ~ak q =
+let signatures_valid ~ek ~ak q =
   Hypertee_crypto.Rsa.verify ek ~msg:q.platform_measurement ~signature:q.platform_signature
   && Hypertee_crypto.Rsa.verify ak
        ~msg:
@@ -68,18 +68,20 @@ let verify_quote ~ek ~ak q =
             ~enclave_measurement:q.enclave_measurement ~user_data:q.user_data)
        ~signature:q.quote_signature
 
-type report = { verifier_measurement : bytes; challenger_measurement : bytes; mac : bytes }
-
-let report_body r = Bytes.cat r.verifier_measurement r.challenger_measurement
-
-let make_report keys ~verifier_measurement ~challenger_measurement =
-  let key = Keymgmt.report_key keys ~challenger_measurement in
-  let r = { verifier_measurement; challenger_measurement; mac = Bytes.empty } in
-  { r with mac = Hypertee_crypto.Hmac.hmac ~key (report_body r) }
-
-let verify_report keys r =
-  let key = Keymgmt.report_key keys ~challenger_measurement:r.challenger_measurement in
-  Hypertee_util.Bytes_ext.equal_ct r.mac (Hypertee_crypto.Hmac.hmac ~key (report_body r))
+let verify_quote ~ek ~ak ~platform_measurement ?enclave_measurement ~user_data quote =
+  match quote_of_bytes quote with
+  | None -> Error "malformed quote"
+  | Some q ->
+    if not (signatures_valid ~ek ~ak q) then Error "quote signature rejected"
+    else if not (Bytes.equal q.user_data user_data) then
+      Error "quote does not commit to this handshake"
+    else if not (Bytes.equal q.platform_measurement platform_measurement) then
+      Error "quote from a foreign platform"
+    else (
+      match enclave_measurement with
+      | Some m when not (Bytes.equal q.enclave_measurement m) ->
+        Error "unexpected enclave measurement"
+      | _ -> Ok ())
 
 (* Sealing blob: nonce(16) || ciphertext || hmac(32) over nonce+ct. *)
 let seal keys ~enclave_measurement data =

@@ -2,11 +2,12 @@
 
     - Quotes: EMS signs (platform measurement, enclave measurement,
       user data) — the platform certificate with EK, the enclave
-      quote with AK. A remote verifier checks both signatures and
-      compares measurements against expectations.
-    - Local attestation: a report MAC keyed by a report key derived
-      from the challenger's measurement and SK, so only EMS (and thus
-      only same-platform enclaves via EMS) can produce or check it.
+      quote with AK. {!verify_quote} is the one check every quote
+      goes through: both signatures, the platform, the user_data
+      commitment and, when pinned, the enclave measurement. Remote
+      and local attestation alike run the htch1 handshake
+      ([Hypertee_channel.Handshake]), whose user_data commits the
+      quote to one session (docs/PROTOCOL.md §5.3).
     - Sealing: AES-CTR + MAC under a sealing key derived from the
       enclave measurement, so only the same enclave (same code) on
       the same platform can unseal. *)
@@ -31,22 +32,21 @@ val quote_to_bytes : quote -> bytes
 (** Decode a wire quote; [None] on malformed input. *)
 val quote_of_bytes : bytes -> quote option
 
-(** [verify_quote ~ek ~ak q] — the remote verifier's check: both
-    signatures valid under the published public keys. *)
+(** [verify_quote ~ek ~ak ~platform_measurement ?enclave_measurement
+    ~user_data quote] judges wire-encoded [quote], in this order: it
+    decodes; the EK signature over the platform measurement and the
+    AK signature over the body verify under the published keys; it
+    commits to [user_data]; it comes from [platform_measurement];
+    and, when given, it names [enclave_measurement]. The error names
+    the first check that failed. *)
 val verify_quote :
-  ek:Hypertee_crypto.Rsa.public -> ak:Hypertee_crypto.Rsa.public -> quote -> bool
-
-(** Local attestation report: MAC over (verifier measurement,
-    challenger measurement) under the report key. *)
-type report = { verifier_measurement : bytes; challenger_measurement : bytes; mac : bytes }
-
-(** [make_report keys ~verifier_measurement ~challenger_measurement]
-    — the local-attestation service routine. *)
-val make_report :
-  Keymgmt.t -> verifier_measurement:bytes -> challenger_measurement:bytes -> report
-
-(** Check a report MAC — succeeds only on the same platform. *)
-val verify_report : Keymgmt.t -> report -> bool
+  ek:Hypertee_crypto.Rsa.public ->
+  ak:Hypertee_crypto.Rsa.public ->
+  platform_measurement:bytes ->
+  ?enclave_measurement:bytes ->
+  user_data:bytes ->
+  bytes ->
+  (unit, string) result
 
 (** [seal keys ~enclave_measurement data] -> sealed blob;
     [unseal] inverts it, [None] on tamper or wrong measurement. *)

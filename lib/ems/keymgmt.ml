@@ -41,9 +41,6 @@ let channel_binding t ~chan ~listener =
     ~context:(Bytes.cat (int_bytes chan) (int_bytes listener))
     16
 
-let report_key t ~challenger_measurement =
-  derive t ~info:"hypertee-report-key" ~context:challenger_measurement 16
-
 let sealing_key t ~enclave_measurement =
   derive t ~info:"hypertee-sealing-key" ~context:enclave_measurement 16
 

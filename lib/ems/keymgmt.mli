@@ -4,10 +4,9 @@
     an RSA keypair whose public half a certificate authority vouches
     for) and the Sealed Key (SK, a random symmetric root). Everything
     else is derived: the Attestation Key (AK) from SK and a salt,
-    memory-encryption keys from SK and the enclave measurement,
-    report keys from SK and the challenger measurement, sealing keys
-    from SK and the enclave measurement. All derivation happens on
-    EMS; CS never sees any of these values. *)
+    memory-encryption and sealing keys from SK and the enclave
+    measurement. All derivation happens on EMS; CS never sees any of
+    these values. *)
 
 type t
 
@@ -42,9 +41,6 @@ val shm_key : t -> owner:int -> shm_id:int -> bytes
     master secret so a session is cryptographically pinned to the
     channel the EMS set up. *)
 val channel_binding : t -> chan:int -> listener:int -> bytes
-
-(** [report_key t ~challenger_measurement] for local attestation. *)
-val report_key : t -> challenger_measurement:bytes -> bytes
 
 (** [sealing_key t ~enclave_measurement] for data sealing. *)
 val sealing_key : t -> enclave_measurement:bytes -> bytes

@@ -380,15 +380,6 @@ let test_dh_agreement () =
   let s2 = Dh.shared_secret ~secret:b.Dh.secret ~peer_public:a.Dh.public in
   check Alcotest.bool "shared secrets agree" true (Bignum.equal s1 s2)
 
-let test_dh_session_key () =
-  let r = rng () in
-  let a = Dh.generate r and b = Dh.generate r in
-  let k1 = Dh.session_key ~secret:a.Dh.secret ~peer_public:b.Dh.public ~context:"test" in
-  let k2 = Dh.session_key ~secret:b.Dh.secret ~peer_public:a.Dh.public ~context:"test" in
-  let k3 = Dh.session_key ~secret:b.Dh.secret ~peer_public:a.Dh.public ~context:"other" in
-  check Alcotest.bytes "keys agree" k1 k2;
-  check Alcotest.bool "context separates" false (Bytes.equal k1 k3)
-
 let test_dh_rejects_degenerate () =
   let r = rng () in
   let a = Dh.generate r in
@@ -528,7 +519,6 @@ let suite =
     ( "crypto.dh",
       [
         Alcotest.test_case "key agreement" `Quick test_dh_agreement;
-        Alcotest.test_case "session keys" `Quick test_dh_session_key;
         Alcotest.test_case "degenerate elements rejected" `Quick test_dh_rejects_degenerate;
         Alcotest.test_case "p is prime" `Slow test_dh_p_is_prime;
       ] );

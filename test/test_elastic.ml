@@ -71,16 +71,16 @@ let page_view platform ~shard ~enclave =
     List.sort compare (resident @ swapped)
 
 let attest_verifies platform ~enclave ~measurement =
+  let user_data = Bytes.of_string "elastic" in
   match
     Platform.invoke platform ~caller:(Emcall.User_enclave enclave)
-      (Types.Attest { enclave; user_data = Bytes.of_string "elastic" })
+      (Types.Attest { enclave; user_data })
   with
-  | Ok (Types.Ok_attest { quote }) -> (
-    match Attest.quote_of_bytes quote with
-    | None -> false
-    | Some q ->
-      Attest.verify_quote ~ek:(Platform.ek_public platform) ~ak:(Platform.ak_public platform) q
-      && Bytes.equal q.Attest.enclave_measurement measurement)
+  | Ok (Types.Ok_attest { quote }) ->
+    Attest.verify_quote ~ek:(Platform.ek_public platform) ~ak:(Platform.ak_public platform)
+      ~platform_measurement:(Platform.platform_measurement platform)
+      ~enclave_measurement:measurement ~user_data quote
+    = Ok ()
   | _ -> false
 
 let clean label platform =

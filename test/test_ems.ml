@@ -66,7 +66,6 @@ let test_key_derivations_distinct () =
       Keymgmt.shm_key k ~owner:1 ~shm_id:1;
       Keymgmt.shm_key k ~owner:1 ~shm_id:2;
       Keymgmt.shm_key k ~owner:2 ~shm_id:1;
-      Keymgmt.report_key k ~challenger_measurement:m;
       Keymgmt.sealing_key k ~enclave_measurement:m;
       Keymgmt.swap_key k;
     ]
@@ -354,39 +353,65 @@ let test_shm_active_connections () =
 
 (* --- Attest & sealing --- *)
 
+let pm = Bytes.make 32 'p'
+let em = Bytes.make 32 'e'
+
+let verify k ?enclave_measurement ~user_data quote =
+  Attest.verify_quote ~ek:(Keymgmt.ek_public k) ~ak:(Keymgmt.ak_public k) ~platform_measurement:pm
+    ?enclave_measurement ~user_data quote
+
+let verdict = Alcotest.(result unit string)
+
 let test_quote_roundtrip () =
   let k = Keymgmt.provision (rng ()) in
-  let q =
-    Attest.make_quote k ~platform_measurement:(Bytes.make 32 'p')
-      ~enclave_measurement:(Bytes.make 32 'e') ~user_data:(Bytes.of_string "nonce")
-  in
-  check Alcotest.bool "verifies" true
-    (Attest.verify_quote ~ek:(Keymgmt.ek_public k) ~ak:(Keymgmt.ak_public k) q);
-  match Attest.quote_of_bytes (Attest.quote_to_bytes q) with
-  | Some q' ->
-    check Alcotest.bool "wire roundtrip verifies" true
-      (Attest.verify_quote ~ek:(Keymgmt.ek_public k) ~ak:(Keymgmt.ak_public k) q')
+  let user_data = Bytes.of_string "nonce" in
+  let q = Attest.make_quote k ~platform_measurement:pm ~enclave_measurement:em ~user_data in
+  let wire = Attest.quote_to_bytes q in
+  check verdict "verifies" (Ok ()) (verify k ~user_data wire);
+  match Attest.quote_of_bytes wire with
+  | Some q' -> check Alcotest.bool "wire roundtrip" true (q = q')
   | None -> Alcotest.fail "decode failed"
 
 let test_quote_tamper_detected () =
   let k = Keymgmt.provision (rng ()) in
   let q =
-    Attest.make_quote k ~platform_measurement:(Bytes.make 32 'p')
-      ~enclave_measurement:(Bytes.make 32 'e') ~user_data:Bytes.empty
+    Attest.make_quote k ~platform_measurement:pm ~enclave_measurement:em ~user_data:Bytes.empty
   in
   let forged = { q with Attest.enclave_measurement = Bytes.make 32 'x' } in
-  check Alcotest.bool "forged measurement rejected" false
-    (Attest.verify_quote ~ek:(Keymgmt.ek_public k) ~ak:(Keymgmt.ak_public k) forged)
+  check verdict "forged measurement rejected" (Error "quote signature rejected")
+    (verify k ~user_data:Bytes.empty (Attest.quote_to_bytes forged))
 
 let test_quote_wrong_keys () =
   let k1 = Keymgmt.provision (rng ()) in
   let k2 = Keymgmt.provision (Hypertee_util.Xrng.create 0x999L) in
   let q =
-    Attest.make_quote k1 ~platform_measurement:(Bytes.make 32 'p')
-      ~enclave_measurement:(Bytes.make 32 'e') ~user_data:Bytes.empty
+    Attest.make_quote k1 ~platform_measurement:pm ~enclave_measurement:em ~user_data:Bytes.empty
   in
-  check Alcotest.bool "different platform's keys fail" false
-    (Attest.verify_quote ~ek:(Keymgmt.ek_public k2) ~ak:(Keymgmt.ak_public k2) q)
+  check verdict "different platform's keys fail" (Error "quote signature rejected")
+    (verify k2 ~user_data:Bytes.empty (Attest.quote_to_bytes q))
+
+(* The one quote checker accepts a good quote and names the first
+   failing check for each way a quote can be wrong. *)
+let test_verify_quote_checks () =
+  let k = Keymgmt.provision (rng ()) in
+  let other = Keymgmt.provision (Hypertee_util.Xrng.create 0x999L) in
+  let user_data = Bytes.of_string "session commitment" in
+  let quote ?(keys = k) ?(platform_measurement = pm) () =
+    Attest.quote_to_bytes
+      (Attest.make_quote keys ~platform_measurement ~enclave_measurement:em ~user_data)
+  in
+  let good = quote () in
+  check verdict "good quote accepted" (Ok ()) (verify k ~enclave_measurement:em ~user_data good);
+  check verdict "malformed bytes" (Error "malformed quote")
+    (verify k ~user_data (Bytes.sub good 0 (Bytes.length good - 1)));
+  check verdict "signed by another provision" (Error "quote signature rejected")
+    (verify k ~user_data (quote ~keys:other ()));
+  check verdict "foreign platform" (Error "quote from a foreign platform")
+    (verify k ~user_data (quote ~platform_measurement:(Bytes.make 32 'f') ()));
+  check verdict "user_data mismatch" (Error "quote does not commit to this handshake")
+    (verify k ~user_data:(Bytes.of_string "another session") good);
+  check verdict "enclave measurement mismatch" (Error "unexpected enclave measurement")
+    (verify k ~enclave_measurement:(Bytes.make 32 'x') ~user_data good)
 
 let test_quote_decode_garbage () =
   check Alcotest.bool "garbage rejected" true (Attest.quote_of_bytes (Bytes.make 7 'z') = None);
@@ -398,16 +423,6 @@ let test_quote_decode_garbage () =
      in
      let b = Attest.quote_to_bytes q in
      Attest.quote_of_bytes (Bytes.sub b 0 (Bytes.length b - 3)) = None)
-
-let test_local_report () =
-  let k = Keymgmt.provision (rng ()) in
-  let r =
-    Attest.make_report k ~verifier_measurement:(Bytes.make 32 'v')
-      ~challenger_measurement:(Bytes.make 32 'c')
-  in
-  check Alcotest.bool "verifies" true (Attest.verify_report k r);
-  let forged = { r with Attest.verifier_measurement = Bytes.make 32 'x' } in
-  check Alcotest.bool "forged rejected" false (Attest.verify_report k forged)
 
 let test_seal_unseal () =
   let k = Keymgmt.provision (rng ()) in
@@ -543,7 +558,7 @@ let suite =
         Alcotest.test_case "tamper detected" `Quick test_quote_tamper_detected;
         Alcotest.test_case "wrong platform keys" `Quick test_quote_wrong_keys;
         Alcotest.test_case "garbage decode" `Quick test_quote_decode_garbage;
-        Alcotest.test_case "local report" `Quick test_local_report;
+        Alcotest.test_case "verify_quote checks" `Quick test_verify_quote_checks;
         Alcotest.test_case "seal/unseal" `Quick test_seal_unseal;
         prop_seal_roundtrip;
       ] );

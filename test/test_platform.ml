@@ -245,27 +245,34 @@ let test_swap_out_and_fault_back () =
 
 let test_remote_attestation_end_to_end () =
   let platform = fresh () in
-  let _, session = launch_and_enter platform in
-  let rng = Hypertee_util.Xrng.create 11L in
+  let enclave, _ = launch_and_enter platform in
   match
-    Verifier.attest_enclave ~rng ~ek:(Platform.ek_public platform) ~ak:(Platform.ak_public platform)
-      ~expected_measurement:(Sdk.expected_measurement default_image) session
+    Secure_channel.establish platform ~listener:enclave
+      ~expected_measurement:(Sdk.expected_measurement default_image) ()
   with
-  | Ok outcome -> check Alcotest.int "session key size" 16 (Bytes.length outcome.Verifier.session_key)
-  | Error f -> Alcotest.failf "attestation: %s" (Verifier.failure_message f)
+  | Ok (client, server) -> (
+    let secret = Bytes.of_string "provisioned secret" in
+    Result.get_ok (Secure_channel.send client secret);
+    match Secure_channel.recv server with
+    | Ok [ Hypertee_channel.Record.Message m ] -> check Alcotest.bytes "secret delivered" secret m
+    | _ -> Alcotest.fail "secret did not arrive")
+  | Error m -> Alcotest.failf "attestation: %s" m
 
+(* A refused establishment must ECHCLOSE its channel: a wrong binary
+   is rejected and leaves no channel (or binding) in the fabric. *)
 let test_remote_attestation_detects_wrong_binary () =
   let platform = fresh () in
   let evil = Sdk.image_of_code ~code:(Bytes.of_string "evil twin") ~data:Bytes.empty () in
-  let _, session = launch_and_enter ~image:evil platform in
-  let rng = Hypertee_util.Xrng.create 12L in
-  match
-    Verifier.attest_enclave ~rng ~ek:(Platform.ek_public platform) ~ak:(Platform.ak_public platform)
-      ~expected_measurement:(Sdk.expected_measurement default_image) session
-  with
-  | Error (Verifier.Measurement_mismatch _) -> ()
-  | Ok _ -> Alcotest.fail "wrong binary must not attest"
-  | Error f -> Alcotest.failf "unexpected failure: %s" (Verifier.failure_message f)
+  let enclave, _ = launch_and_enter ~image:evil platform in
+  let live () = Hypertee_ems.Chan.live (Platform.Internals.chans platform) in
+  let before = live () in
+  (match
+     Secure_channel.establish platform ~listener:enclave
+       ~expected_measurement:(Sdk.expected_measurement default_image) ()
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "wrong binary must not attest");
+  check Alcotest.int "refused channel closed" before (live ())
 
 let test_seal_across_instances () =
   let platform = fresh () in
@@ -290,11 +297,16 @@ let test_seal_across_instances () =
 
 let test_local_attestation_between_enclaves () =
   let platform = fresh () in
-  let _, s1 = launch_and_enter platform in
+  let e1, _ = launch_and_enter platform in
   let image2 = Sdk.image_of_code ~code:(Bytes.of_string "peer") ~data:Bytes.empty () in
-  let _, s2 = launch_and_enter ~image:image2 platform in
-  match Session.local_attest ~challenger:s1 ~verifier:s2 with
-  | Ok key -> check Alcotest.int "16-byte key" 16 (Bytes.length key)
+  let e2, _ = launch_and_enter ~image:image2 platform in
+  match
+    Secure_channel.establish platform ~initiator:e1 ~listener:e2
+      ~expected_measurement:(Sdk.expected_measurement image2) ()
+  with
+  | Ok (a, b) ->
+    Result.get_ok (Secure_channel.close a);
+    Result.get_ok (Secure_channel.close b)
   | Error m -> Alcotest.failf "local attest: %s" m
 
 (* --- Shared memory integration --- *)
