@@ -141,15 +141,20 @@ let err_bad_state =
 
 let find_e t id = Hashtbl.find_opt t.enclaves id
 
-(* The gate routes a request to the shard owning the id's residue
-   class — unless the platform told us the id migrated ([note_migration]);
-   ids hosted on another shard do not exist on this one. *)
+(* The gate routes a request to the shard owning the enclave id's
+   residue class — unless the platform told us the enclave migrated
+   ([note_migration]); ids hosted on another shard do not exist on
+   this one. *)
 let shard_of t id =
   match Hashtbl.find_opt t.migrated id with
   | Some s -> s
   | None -> (id - 1) mod t.stride
 
 let co_sharded t a b = shard_of t a = shard_of t b
+
+(* Shared regions never migrate: a region lives on the shard that
+   minted it, which its id's residue class names. *)
+let shm_here t enclave shm = shard_of t enclave = (shm - 1) mod t.stride
 
 let unknown_enclave t = if t.fog_enclaves then Any else err_no_enclave
 let unknown_region t = if t.fog_shms then Any else err_no_shm
@@ -347,7 +352,7 @@ let predict t ~sender request =
           match find_e t grantee with
           | None -> unknown_enclave t
           | Some _ -> (
-            if not (co_sharded t owner shm) then err_no_shm
+            if not (shm_here t owner shm) then err_no_shm
             else
               match Hashtbl.find_opt t.regions shm with
               | None -> unknown_region t
@@ -356,7 +361,7 @@ let predict t ~sender request =
     preamble t ~sender ~target:enclave ~strict:true (fun e ->
         (* Served on the enclave's shard: regions minted by another
            shard (the shm id's residue class) do not exist there. *)
-        if not (co_sharded t enclave shm) then err_no_shm
+        if not (shm_here t enclave shm) then err_no_shm
         else
         match Hashtbl.find_opt t.regions shm with
         | None -> unknown_region t
@@ -386,7 +391,7 @@ let predict t ~sender request =
         else err_invalid)
   | Types.Shmdes { owner; shm } ->
     preamble t ~sender ~target:owner ~strict:true (fun _ ->
-        if not (co_sharded t owner shm) then err_no_shm
+        if not (shm_here t owner shm) then err_no_shm
         else
         match Hashtbl.find_opt t.regions shm with
         | None -> unknown_region t
@@ -534,13 +539,16 @@ let adopt_stub t id =
 
 let opt_max cursor v = match cursor with Some c -> Some (max c v) | None -> Some v
 
-(* Regions whose owner is gone and to which nobody is attached are
-   reaped by the EMS itself (EDESTROY / ESHMDT); mirror that. *)
+(* Regions whose owner is gone from the region's shard — destroyed,
+   or migrated away, which destroys the source copy — and to which
+   nobody is attached are reaped by the EMS itself (EDESTROY /
+   ESHMDT); mirror that. *)
 let reap_orphans t =
   let dead =
     Hashtbl.fold
       (fun id r acc ->
-        if (not (Hashtbl.mem t.enclaves r.rowner)) && r.rattached = [] && not r.rfuzzy then
+        let owner_here = Hashtbl.mem t.enclaves r.rowner && shm_here t r.rowner id in
+        if (not owner_here) && r.rattached = [] && not r.rfuzzy then
           id :: acc
         else acc)
       t.regions []
@@ -585,7 +593,8 @@ let mark_unknown t id =
    the model would predict [No_such_enclave] for a live enclave. *)
 let note_migration t ~enclave ~shard =
   Hashtbl.replace t.migrated enclave (shard mod t.stride);
-  mark_unknown t enclave
+  mark_unknown t enclave;
+  reap_orphans t
 
 (* The platform cold-restarted [shard]: channel ops are not
    journaled, so recovery reaped every channel homed there
@@ -677,6 +686,9 @@ let apply_response t ~sender request response =
       (* The victim was whoever owned the corrupt frame (EWB path):
          any enclave may be gone now. *)
       t.fog_existence <- true)
+  (* ESHMSHR names two enclaves, and the missing one may be the
+     grantee: keep the owner until a request of its own says so. *)
+  | Types.Shmshr _, Types.Err Types.No_such_enclave -> ()
   | req, Types.Err Types.No_such_enclave when t.fog_existence -> (
     (* An unattributed containment destroyed this enclave behind the
        model's back: adopt the removal. *)

@@ -71,7 +71,10 @@ val tap : t -> Hypertee_cs.Emcall.tap
 (** [note_migration t ~enclave ~shard] — the platform restored or
     migrated [enclave] onto [shard] outside the gate (checkpoint
     restore, migration commit). The model routes the id there from
-    now on and adopts its lifecycle from later observed responses. *)
+    now on and adopts its lifecycle from later observed responses.
+    Shared regions stay on the shard that minted them: those the
+    enclave owns there with nobody attached are reaped, as the
+    source copy's destroy reaps them on the platform. *)
 val note_migration : t -> enclave:int -> shard:int -> unit
 
 (** [note_recovery t ~shard] — the platform cold-restarted [shard].

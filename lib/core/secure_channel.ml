@@ -71,19 +71,35 @@ let recv_seg ep =
 
 let flush ep segs = List.fold_left (fun acc seg -> Result.bind acc (fun () -> send_seg ep seg)) (Ok ()) segs
 
+(* ECHCLOSE is single-sided: whichever endpoint closes first removes
+   the fabric entry, so the peer's own close (and its close_notify
+   flush) legitimately finds no channel. That race is not an error. *)
+let tolerant platform ~caller request =
+  match Platform.invoke platform ~caller request with
+  | Ok (Types.Err Types.No_such_channel) -> Ok ()
+  | Ok (Types.Err e) -> Error ("gate: " ^ Types.error_message e)
+  | Ok _ -> Ok ()
+  | Error Emcall.Cross_privilege -> Error "gate: cross-privilege"
+  | Error Emcall.Mailbox_full -> Error "gate: mailbox full"
+  | Error (Emcall.Timeout | Emcall.Busy) -> Error "gate: timeout or busy"
+
 let connect platform ~caller ~listener ~auth ?rekey_after () =
   let* resp = gate platform ~caller (Types.Chan_open { listener }) in
   match resp with
-  | Types.Ok_chan { chan; binding } ->
+  | Types.Ok_chan { chan; binding } -> (
     let hs =
       Handshake.create ~role:Handshake.Initiator
         ~rng:(Hypertee_util.Xrng.split (Platform.rng platform))
         ~binding ~auth ?rekey_after ()
     in
     let ep = { platform; caller; chan; hs } in
-    let* segs = Handshake.start hs in
-    let* () = flush ep segs in
-    Ok ep
+    match Result.bind (Handshake.start hs) (flush ep) with
+    | Ok () -> Ok ep
+    | Error _ as err ->
+      (* No endpoint is handed back, so nobody else could close the
+         channel ECHOPEN minted. *)
+      ignore (tolerant platform ~caller (Types.Chan_close { chan }));
+      err)
   | _ -> Error "ECHOPEN returned an unexpected response"
 
 let accept platform ~enclave ~chan ~auth ?rekey_after () =
@@ -192,18 +208,6 @@ let recv s =
     | _ -> Error "ECHRECV returned an unexpected response"
   in
   drain []
-
-(* ECHCLOSE is single-sided: whichever endpoint closes first removes
-   the fabric entry, so the peer's own close (and its close_notify
-   flush) legitimately finds no channel. That race is not an error. *)
-let tolerant platform ~caller request =
-  match Platform.invoke platform ~caller request with
-  | Ok (Types.Err Types.No_such_channel) -> Ok ()
-  | Ok (Types.Err e) -> Error ("gate: " ^ Types.error_message e)
-  | Ok _ -> Ok ()
-  | Error Emcall.Cross_privilege -> Error "gate: cross-privilege"
-  | Error Emcall.Mailbox_full -> Error "gate: mailbox full"
-  | Error (Emcall.Timeout | Emcall.Busy) -> Error "gate: timeout or busy"
 
 let close s =
   let tolerant = tolerant s.s_platform ~caller:s.s_caller in

@@ -13,7 +13,7 @@ let policy ~edges ~indirect_targets =
 
 type verdict = Clean of int | Violation of { from_pc : int; to_pc : int } | Buffer_overflow
 
-type enclave_state = {
+type monitored = {
   policy : policy;
   buffer : (int * int) Hypertee_util.Ring_queue.t;
   mutable overflowed : bool;
@@ -21,7 +21,7 @@ type enclave_state = {
 
 type t = {
   buffer_capacity : int;
-  enclaves : (Types.enclave_id, enclave_state) Hashtbl.t;
+  enclaves : (Types.enclave_id, monitored) Hashtbl.t;
   mutable violations : int;
 }
 

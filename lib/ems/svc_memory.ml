@@ -40,18 +40,18 @@ let handle_free t ~sender ~enclave ~vpn ~pages =
   let* () = check_identity ~sender ~target:enclave ~strict:false in
   if pages <= 0 then Types.Err (Types.Invalid_argument_ "bad page count")
   else begin
-    let rec go i acc =
-      if i = pages then Ok (List.rev acc)
-      else
-        match unmap_private_page t e ~vpn:(vpn + i) with
-        | Ok frame -> go (i + 1) (frame :: acc)
-        | Error e -> Error e
-    in
-    match go 0 [] with
-    | Error err -> Types.Err err
-    | Ok frames ->
+    let vpns = List.init pages (fun i -> vpn + i) in
+    (* Check the whole range before unmapping any of it: a partial
+       unmap would strand the frames it had already released. *)
+    if List.exists (fun vpn -> Page_table.lookup e.Enclave.page_table ~vpn = None) vpns then
+      Types.Err (Types.Invalid_argument_ "page not mapped")
+    else begin
+      let frames =
+        List.filter_map (fun vpn -> Result.to_option (unmap_private_page t e ~vpn)) vpns
+      in
       Mem_pool.give_back t.pool frames;
       Types.Ok_unit
+    end
   end
 
 (* EWB (Sec. IV-A): serve reclamation from *unused pool frames*, in a

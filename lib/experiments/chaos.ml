@@ -24,107 +24,38 @@ type point = {
 
 let default_rates = [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]
 
-(* Workload state per live enclave: the launch pipeline (EADD pages,
-   then EMEAS) followed by steady-state management traffic. *)
-type enclave_state = {
-  id : Types.enclave_id;
-  mutable added : int;
-  mutable measured : bool;
-  mutable regions : (int * int) list; (* (base_vpn, pages) from EALLOC *)
+(* Outcome buckets shared by the sweep and the rolling restart. *)
+type tally = {
+  mutable ok : int;
+  mutable degraded : int;  (* an EMS error, or a gate rejection short of a timeout *)
+  mutable timeouts : int;
+  latencies : Stats.t;  (* of the [ok] calls *)
 }
 
-let launch_adds = 2
-let fleet_target = 3
+let new_tally () = { ok = 0; degraded = 0; timeouts = 0; latencies = Stats.create () }
 
-let page_data i = Bytes.make 64 (Char.chr (Char.code 'a' + (i mod 26)))
-
-(* One iteration = exactly one EMCall. Picks the next sensible
-   primitive for the current fleet state; the point of the sweep is
-   that the *platform* keeps its promises, so the workload itself is
-   always semantically valid against the state the workload believes
-   in — divergence (a fault killed an enclave under us) lands in the
-   [degraded] bucket and the bookkeeping resyncs. *)
-let next_request rng fleet =
-  match List.find_opt (fun e -> not e.measured) !fleet with
-  | Some e when e.added < launch_adds ->
-    ( Emcall.Os_kernel,
-      Types.Add
-        { enclave = e.id; vpn = 0x100 + e.added; data = page_data e.added; executable = true },
-      `Added e )
-  | Some e -> (Emcall.Os_kernel, Types.Measure { enclave = e.id }, `Measured e)
-  | None ->
-    if List.length !fleet < fleet_target then
-      (Emcall.Os_kernel, Types.Create { config = Types.default_config }, `Created)
-    else begin
-      let arr = Array.of_list !fleet in
-      let e = arr.(Xrng.int rng (Array.length arr)) in
-      match Xrng.int rng 10 with
-      | 0 | 1 | 2 -> (Emcall.User_enclave e.id, Types.Alloc { enclave = e.id; pages = 2 }, `Alloced e)
-      | 3 | 4 -> (
-        match e.regions with
-        | (base_vpn, pages) :: _ ->
-          (Emcall.User_enclave e.id, Types.Free { enclave = e.id; vpn = base_vpn; pages }, `Freed e)
-        | [] -> (Emcall.User_enclave e.id, Types.Alloc { enclave = e.id; pages = 2 }, `Alloced e))
-      | 5 | 6 ->
-        ( Emcall.User_enclave e.id,
-          Types.Attest { enclave = e.id; user_data = Bytes.of_string "chaos" },
-          `Noop )
-      | 7 ->
-        (* Big enough to drain the EMS pool and force eviction of
-           enclave heap pages — the path that decrypts lines through
-           the encryption engine, where injected bit flips land.
-           Evicted pages are unmapped until faulted back in, so stop
-           trusting earlier EALLOC regions for the Free arm. *)
-        List.iter (fun e -> e.regions <- []) !fleet;
-        (Emcall.Os_kernel, Types.Writeback { pages_hint = 48 }, `Noop)
-      | 8 -> (Emcall.Os_kernel, Types.Destroy { enclave = e.id }, `Destroyed e)
-      | _ ->
-        List.iter (fun e -> e.regions <- []) !fleet;
-        (Emcall.Os_kernel, Types.Writeback { pages_hint = 8 }, `Noop)
-    end
-
-let drop fleet id = fleet := List.filter (fun e -> e.id <> id) !fleet
+(* One iteration = exactly one EMCall of [Traffic]'s valid traffic:
+   the point of the sweep is that the *platform* keeps its promises,
+   so anything but a served response (a fault killed an enclave under
+   the workload, or the gate gave up) is counted against it. *)
+let step platform traffic tally =
+  let request, result = Traffic.issue traffic platform in
+  (match result with
+  | Ok (Types.Err _, _) | Error (Emcall.Cross_privilege | Emcall.Mailbox_full | Emcall.Busy) ->
+    tally.degraded <- tally.degraded + 1
+  | Ok (_, latency_ns) ->
+    tally.ok <- tally.ok + 1;
+    Stats.add tally.latencies latency_ns
+  | Error Emcall.Timeout -> tally.timeouts <- tally.timeouts + 1);
+  request
 
 let run_point ~seed ~fault_rate ~ops =
   let faults = Fault.uniform ~seed:(Int64.add seed 0x5EEDL) ~rate:fault_rate () in
   let platform = Platform.create ~seed ~faults () in
-  let rng = Xrng.create (Int64.add seed 17L) in
-  let fleet = ref [] in
-  let ok = ref 0 and degraded = ref 0 and timeouts = ref 0 in
-  let latencies = Stats.create () in
+  let traffic = Traffic.create (Xrng.create (Int64.add seed 17L)) in
+  let tally = new_tally () in
   for _ = 1 to ops do
-    let caller, request, effect = next_request rng fleet in
-    match Platform.invoke_timed platform ~caller request with
-    | Ok (Types.Err err, _) ->
-      incr degraded;
-      (* Resync the workload's view: an enclave the platform no
-         longer serves (integrity-terminated, or its state diverged
-         after a lost/killed operation) leaves the fleet. *)
-      (match (err, effect) with
-      | (Types.No_such_enclave | Types.Integrity_failure _), (`Added e | `Measured e | `Alloced e | `Freed e | `Destroyed e)
-        ->
-        drop fleet e.id
-      | _ -> ())
-    | Ok (response, latency_ns) -> (
-      incr ok;
-      Stats.add latencies latency_ns;
-      match (effect, response) with
-      | `Created, Types.Ok_created { enclave } ->
-        fleet := { id = enclave; added = 0; measured = false; regions = [] } :: !fleet
-      | `Added e, _ -> e.added <- e.added + 1
-      | `Measured e, _ -> e.measured <- true
-      | `Alloced e, Types.Ok_alloc { base_vpn; pages } -> e.regions <- (base_vpn, pages) :: e.regions
-      | `Freed e, _ -> e.regions <- (match e.regions with [] -> [] | _ :: tl -> tl)
-      | `Destroyed e, _ -> drop fleet e.id
-      | _ -> ())
-    | Error Emcall.Timeout -> (
-      incr timeouts;
-      (* The outcome of a timed-out primitive is unknown; drop the
-         target so later ops do not cascade on stale bookkeeping. *)
-      match effect with
-      | `Added e | `Measured e | `Alloced e | `Freed e | `Destroyed e -> drop fleet e.id
-      | `Created | `Noop -> ())
-    | Error (Emcall.Cross_privilege | Emcall.Mailbox_full | Emcall.Busy) -> incr degraded
+    ignore (step platform traffic tally)
   done;
   let audit = Hypertee_ems.Runtime.audit (Platform.Internals.runtime platform) in
   let events = Hypertee_ems.Audit.fault_events audit in
@@ -136,14 +67,14 @@ let run_point ~seed ~fault_rate ~ops =
   let injected =
     match Platform.Internals.faults platform with Some inj -> Fault.total_fired inj | None -> 0
   in
-  let pct p = if Stats.count latencies = 0 then 0.0 else Stats.percentile latencies p in
+  let pct p = if Stats.count tally.latencies = 0 then 0.0 else Stats.percentile tally.latencies p in
   {
     fault_rate;
     ops;
-    ok = !ok;
-    degraded = !degraded;
-    timeouts = !timeouts;
-    success_rate = float_of_int !ok /. float_of_int (Stdlib.max 1 ops);
+    ok = tally.ok;
+    degraded = tally.degraded;
+    timeouts = tally.timeouts;
+    success_rate = float_of_int tally.ok /. float_of_int (Stdlib.max 1 ops);
     p50_ns = pct 50.0;
     p99_ns = pct 99.0;
     injected;
@@ -194,6 +125,22 @@ let live_ids platform =
     (Platform.Internals.runtimes platform)
   |> List.sort_uniq compare
 
+(* The newest enclave quiescent enough to live-migrate: measured,
+   not running, with no shared region attached. *)
+let idle_enclave platform =
+  let idle id =
+    match
+      Hypertee_ems.Runtime.find_enclave
+        (Platform.Internals.runtime_of_shard platform (Platform.shard_of_enclave platform id))
+        id
+    with
+    | Some enc ->
+      enc.Hypertee_ems.Enclave.state = Hypertee_ems.Enclave.Measured
+      && enc.Hypertee_ems.Enclave.attached_shms = []
+    | None -> false
+  in
+  List.find_opt idle (List.rev (live_ids platform))
+
 let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards = 3) () =
   if shards < 2 then invalid_arg "Chaos.rolling_restart: need at least 2 shards";
   let config = { Hypertee_arch.Config.default with Hypertee_arch.Config.ems_shards = shards } in
@@ -202,48 +149,18 @@ let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards
      to the restart. *)
   let platform = Platform.create ~seed ~config () in
   let oracle = Platform.attach_oracle platform in
-  let rng = Xrng.create (Int64.add seed 29L) in
-  let fleet = ref [] in
-  let timeouts = ref 0 and errors = ref 0 in
+  let traffic = Traffic.create (Xrng.create (Int64.add seed 29L)) in
+  let tally = new_tally () in
   (* Enclaves for which we issued EDESTROY, successfully or with an
      unknown (timed-out) outcome — excused from the lost-enclave
      accounting, because the destroy may legitimately land when the
      recovered shard drains its backlog. *)
   let destroy_issued : (Types.enclave_id, unit) Hashtbl.t = Hashtbl.create 16 in
-  let step () =
-    let caller, request, effect = next_request rng fleet in
-    (match effect with
-    | `Destroyed e -> Hashtbl.replace destroy_issued e.id ()
-    | _ -> ());
-    match Platform.invoke_timed platform ~caller request with
-    | Ok (Types.Err err, _) -> (
-      incr errors;
-      match (err, effect) with
-      | ( (Types.No_such_enclave | Types.Integrity_failure _),
-          (`Added e | `Measured e | `Alloced e | `Freed e | `Destroyed e) ) ->
-        drop fleet e.id
-      | _ -> ())
-    | Ok (response, _) -> (
-      match (effect, response) with
-      | `Created, Types.Ok_created { enclave } ->
-        fleet := { id = enclave; added = 0; measured = false; regions = [] } :: !fleet
-      | `Added e, _ -> e.added <- e.added + 1
-      | `Measured e, _ -> e.measured <- true
-      | `Alloced e, Types.Ok_alloc { base_vpn; pages } ->
-        e.regions <- (base_vpn, pages) :: e.regions
-      | `Freed e, _ -> e.regions <- (match e.regions with [] -> [] | _ :: tl -> tl)
-      | `Destroyed e, _ -> drop fleet e.id
-      | _ -> ())
-    | Error Emcall.Timeout -> (
-      incr timeouts;
-      match effect with
-      | `Added e | `Measured e | `Alloced e | `Freed e | `Destroyed e -> drop fleet e.id
-      | `Created | `Noop -> ())
-    | Error (Emcall.Cross_privilege | Emcall.Mailbox_full | Emcall.Busy) -> incr errors
-  in
   let run_phase n =
     for _ = 1 to n do
-      step ()
+      match step platform traffic tally with
+      | Types.Destroy { enclave } -> Hashtbl.replace destroy_issued enclave ()
+      | _ -> ()
     done
   in
   let steady = Stdlib.max 20 (ops / (shards + 1)) in
@@ -258,7 +175,7 @@ let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards
         issued := !issued + steady;
         let pre = live_ids platform in
         Platform.kill_shard platform s;
-        let t0 = !timeouts and e0 = !errors in
+        let t0 = tally.timeouts and e0 = tally.degraded in
         run_phase outage_ops;
         issued := !issued + outage_ops;
         let recovery = Platform.recover_shard platform s in
@@ -276,32 +193,15 @@ let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards
         (* Post-recovery rebalance: live-migrate one idle enclave off
            the recovered shard's successor ring. *)
         let migration =
-          let candidate =
-            List.find_opt
-              (fun e ->
-                e.measured
-                &&
-                let s = Platform.shard_of_enclave platform e.id in
-                match
-                  Hypertee_ems.Runtime.find_enclave
-                    (Platform.Internals.runtime_of_shard platform s)
-                    e.id
-                with
-                | Some enc ->
-                  enc.Hypertee_ems.Enclave.state = Hypertee_ems.Enclave.Measured
-                  && enc.Hypertee_ems.Enclave.attached_shms = []
-                | None -> false)
-              !fleet
-          in
           Option.map
-            (fun e ->
-              let target = (Platform.shard_of_enclave platform e.id + 1) mod shards in
-              match Platform.migrate platform ~enclave:e.id ~target with
-              | Platform.Migrated -> Printf.sprintf "enclave %d -> shard %d" e.id target
+            (fun id ->
+              let target = (Platform.shard_of_enclave platform id + 1) mod shards in
+              match Platform.migrate platform ~enclave:id ~target with
+              | Platform.Migrated -> Printf.sprintf "enclave %d -> shard %d" id target
               | Platform.Migration_aborted reason -> "aborted: " ^ reason
               | Platform.Migration_crashed { after; _ } ->
                 "crashed after " ^ Platform.migration_phase_name after)
-            candidate
+            (idle_enclave platform)
         in
         let report = Platform.check platform in
         let diverged_now = Oracle.divergence_count oracle in
@@ -310,8 +210,8 @@ let rolling_restart ?(seed = 0xC4A05CADEL) ?(ops = restart_default_ops) ?(shards
         {
           shard_killed = s;
           outage_ops;
-          outage_timeouts = !timeouts - t0;
-          outage_errors = !errors - e0;
+          outage_timeouts = tally.timeouts - t0;
+          outage_errors = tally.degraded - e0;
           replayed = recovery.Platform.replayed;
           replay_mismatches = recovery.Platform.mismatches;
           lost_enclaves = List.length lost;

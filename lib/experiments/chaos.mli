@@ -1,11 +1,14 @@
 (** Chaos availability sweep (Table I availability claim).
 
-    Runs a mixed enclave-management workload against a platform with
-    a {!Hypertee_faults.Fault.uniform} plan at increasing fault
-    rates, and reports how gracefully the service-level objectives
-    degrade: success rate, p50/p99 invoke latency, how many faults
-    the recovery machinery absorbed (EMCall retries + EMS watchdog),
-    and how many enclaves integrity containment had to terminate.
+    Runs {!Traffic}'s enclave-management traffic — one EMCall per
+    op, every request valid against the state the workload believes
+    in — against a platform with a {!Hypertee_faults.Fault.uniform}
+    plan at increasing fault rates, and reports how gracefully the
+    service-level objectives degrade: success rate, p50/p99 invoke
+    latency, how many faults the recovery machinery absorbed (EMCall
+    retries + EMS watchdog), and how many enclaves integrity
+    containment had to terminate. A served EMS error counts as
+    [degraded]: on a fault-free platform the traffic gets none.
 
     Deterministic given [seed]: the workload decisions and every
     fault schedule derive from it. The [fault_rate = 0.0] point uses
@@ -48,21 +51,23 @@ val print : ?out:out_channel -> point list -> unit
 (** {2 Rolling restart}
 
     The crash-recovery scenario: on a multi-shard platform under
-    live traffic (and {e no} fault plan, so every event is
-    attributable), kill each EMS shard in turn, let requests time
+    live {!Traffic} traffic (and {e no} fault plan, so every event
+    is attributable), kill each EMS shard in turn, let requests time
     out cleanly at the gate during the outage, cold-restart the
     shard ({!Hypertee.Platform.recover_shard}: scrub, rebuild,
     journal replay), and verify nothing was lost: every pre-crash
     enclave survives (or was destroyed on request), the differential
     oracle stays silent, and the invariant sweep — deep, at the end
-    — is clean. Each round also live-migrates one idle enclave, so
-    migration runs under the same scrutiny. *)
+    — is clean. Each round also live-migrates the newest idle
+    enclave the platform holds (measured, nothing attached), so
+    migration — and the shared-memory traffic that follows it —
+    runs under the same scrutiny. *)
 
 type restart_round = {
   shard_killed : int;
   outage_ops : int;  (** requests issued while the shard was down *)
   outage_timeouts : int;  (** of those, clean gate timeouts *)
-  outage_errors : int;
+  outage_errors : int;  (** of those, served EMS errors and other gate rejections *)
   replayed : int;  (** journal entries replayed on recovery *)
   replay_mismatches : int;  (** replayed responses diverging from the journal *)
   lost_enclaves : int;  (** pre-crash enclaves missing after recovery, destroys excused *)

@@ -147,39 +147,18 @@ let run ?(out = stdout) ?(quick = false) ?(seed = 0x7ACEL) ?(path = "trace.json"
   output_string out (Trace.render_summary tracer);
   tracer
 
-(* A mixed management workload against a sharded platform, reported
-   through the metrics registry: the one-stop "what did the platform
-   do" view (every subsystem publishes under its prefix). *)
+(* [Traffic]'s management workload against a sharded platform,
+   reported through the metrics registry: the one-stop "what did the
+   platform do" view (every subsystem publishes under its prefix). *)
 let metrics ?(out = stdout) ?(seed = 0x3E7121C5L) ?(ops = 400) ?json () =
   let config = { Config.default with Config.ems_shards = 2 } in
   let platform = Platform.create ~seed ~config () in
-  let enclaves =
-    List.filter_map
-      (fun _ ->
-        match
-          Platform.invoke platform ~caller:Emcall.Os_kernel
-            (Types.Create { config = Types.default_config })
-        with
-        | Ok (Types.Ok_created { enclave }) -> Some enclave
-        | _ -> None)
-      (List.init 4 Fun.id)
-  in
-  let fleet = Array.of_list enclaves in
-  let n = Array.length fleet in
-  if n = 0 then failwith "Tracing.metrics: no enclave could be created";
+  let traffic = Traffic.create (Hypertee_util.Xrng.create seed) in
   let latencies = Hypertee_util.Stats.create () in
-  for i = 0 to ops - 1 do
-    let enclave = fleet.(i mod n) in
-    let caller, request =
-      match i mod 5 with
-      | 0 | 1 -> (Emcall.User_host, Types.Alloc { enclave; pages = 2 })
-      | 2 -> (Emcall.Os_kernel, Types.Measure { enclave })
-      | 3 -> (Emcall.User_enclave enclave, Types.Attest { enclave; user_data = Bytes.empty })
-      | _ -> (Emcall.Os_kernel, Types.Writeback { pages_hint = 4 })
-    in
-    match Platform.invoke_timed platform ~caller request with
-    | Ok (_, latency) -> Hypertee_util.Stats.add latencies latency
-    | Error _ -> ()
+  for _ = 1 to ops do
+    match Traffic.issue traffic platform with
+    | _, Ok (_, latency) -> Hypertee_util.Stats.add latencies latency
+    | _, Error _ -> ()
   done;
   let registry = Metrics.create () in
   Platform.publish_metrics platform registry;

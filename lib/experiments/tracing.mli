@@ -9,8 +9,8 @@
     experiment raises, so a failed traced run never leaves global
     tracing enabled behind the caller's back.
 
-    {!metrics} drives a mixed management workload against a sharded
-    platform and renders everything {!Hypertee.Platform.publish_metrics}
+    {!metrics} drives {!Traffic}'s management traffic against a
+    sharded platform and renders everything {!Hypertee.Platform.publish_metrics}
     snapshots — the gate, the encryption engine, each shard's
     mailbox / scheduler / runtime — plus an EMCall latency histogram. *)
 
@@ -46,10 +46,11 @@ val run :
   target ->
   Hypertee_obs.Trace.t
 
-(** [metrics ?out ?seed ?ops ?json ()] — run [ops] mixed primitives
-    on a fresh 2-shard platform, then render the full metrics
-    registry to [out]; [json] additionally writes the registry as
-    JSON to that path. Returns the registry. *)
+(** [metrics ?out ?seed ?ops ?json ()] — run [ops] calls of
+    {!Traffic} traffic on a fresh 2-shard platform, then render the
+    full metrics registry to [out]; [json] additionally writes the
+    registry as JSON to that path. Raises [Failure] if the end-of-run
+    invariant sweep finds a violation. Returns the registry. *)
 val metrics :
   ?out:out_channel ->
   ?seed:int64 ->

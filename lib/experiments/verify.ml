@@ -1,5 +1,4 @@
 module Types = Hypertee_ems.Types
-module Enclave = Hypertee_ems.Enclave
 module Emcall = Hypertee_cs.Emcall
 module Fault = Hypertee_faults.Fault
 module Platform = Hypertee.Platform
@@ -18,57 +17,32 @@ type outcome = {
 
 (* --- the workload ---------------------------------------------------- *)
 
-(* The workload keeps its own loose model of the fleet purely to keep
-   issuing *plausible* traffic; correctness judgement is entirely the
-   oracle's and the checker's job. On errors or timeouts it resyncs by
-   dropping whatever it no longer trusts. *)
+(* [Traffic]'s plausible traffic with deliberately hostile or
+   malformed requests mixed in: the oracle must predict each exact
+   rejection. *)
 
-type phase = Loading | Measured | Running | Interrupted
+type workload = { traffic : Traffic.t; rng : Xrng.t }
 
-type wenclave = {
-  id : Types.enclave_id;
-  mutable phase : phase;
-  mutable added : int;
-  mutable regions : (int * int) list;  (* EALLOC results, newest first *)
-  mutable owned : int list;  (* shm ids this enclave created *)
-  mutable joined : int list;  (* shm ids currently attached *)
-}
-
-type wshm = {
-  sid : int;
-  sowner : Types.enclave_id;
-  mutable granted : Types.enclave_id list;
-  mutable sattached : Types.enclave_id list;
-}
-
-type world = {
-  rng : Xrng.t;
-  mutable fleet : wenclave list;
-  mutable shms : wshm list;
-  layout : Enclave.layout;  (* of [Types.default_config], for plausible vpns *)
-}
-
-let launch_adds = 2
-let fleet_target = 4
-let page_data i = Bytes.make 64 (Char.chr (Char.code 'a' + (i mod 26)))
-let drop w id = w.fleet <- List.filter (fun e -> e.id <> id) w.fleet
+let make_workload ~seed =
+  {
+    traffic = Traffic.create (Xrng.create (Int64.add seed 23L));
+    rng = Xrng.create (Int64.add seed 31L);
+  }
 
 let pick_opt rng = function
   | [] -> None
   | l -> Some (List.nth l (Xrng.int rng (List.length l)))
 
-(* One deliberately hostile or malformed request: the oracle must
-   predict the exact rejection. *)
-let abuse w =
-  let bogus_id = 1_000_000 + Xrng.int w.rng 1000 in
-  match Xrng.int w.rng 6 with
+let abuse rng fleet =
+  let bogus_id = 1_000_000 + Xrng.int rng 1000 in
+  match Xrng.int rng 6 with
   | 0 ->
     (* privilege violation: Os-only primitive from user software *)
     (Emcall.User_host, Types.Create { config = Types.default_config })
   | 1 -> (
     (* forged sender: enclave A speaking for enclave B *)
-    match w.fleet with
-    | e :: _ -> (Emcall.User_enclave bogus_id, Types.Alloc { enclave = e.id; pages = 1 })
+    match fleet with
+    | e :: _ -> (Emcall.User_enclave bogus_id, Types.Alloc { enclave = e; pages = 1 })
     | [] -> (Emcall.Os_kernel, Types.Destroy { enclave = bogus_id }))
   | 2 -> (Emcall.Os_kernel, Types.Destroy { enclave = bogus_id })
   | 3 ->
@@ -76,213 +50,38 @@ let abuse w =
       Types.Create
         { config = { Types.default_config with Types.code_pages = 0 } } )
   | 4 -> (
-    match pick_opt w.rng w.fleet with
-    | Some e -> (Emcall.User_enclave e.id, Types.Alloc { enclave = e.id; pages = 0 })
+    match pick_opt rng fleet with
+    | Some e -> (Emcall.User_enclave e, Types.Alloc { enclave = e; pages = 0 })
     | None -> (Emcall.Os_kernel, Types.Destroy { enclave = bogus_id }))
   | _ -> (
-    match pick_opt w.rng w.fleet with
+    match pick_opt rng fleet with
     | Some e ->
-      ( Emcall.User_enclave e.id,
-        Types.Shmat { enclave = e.id; shm = bogus_id; requested_perm = Types.Read_only } )
+      ( Emcall.User_enclave e,
+        Types.Shmat { enclave = e; shm = bogus_id; requested_perm = Types.Read_only } )
     | None -> (Emcall.Os_kernel, Types.Destroy { enclave = bogus_id }))
 
 let next_request w =
-  match List.find_opt (fun e -> e.phase = Loading) w.fleet with
-  | Some e when e.added < launch_adds ->
-    ( Emcall.Os_kernel,
-      Types.Add
-        { enclave = e.id; vpn = 0x100 + e.added; data = page_data e.added; executable = true } )
-  | Some e -> (Emcall.Os_kernel, Types.Measure { enclave = e.id })
-  | None -> (
-    if List.length w.fleet < fleet_target then
-      (Emcall.Os_kernel, Types.Create { config = Types.default_config })
-    else
-      match pick_opt w.rng w.fleet with
-      | None -> (Emcall.Os_kernel, Types.Create { config = Types.default_config })
-      | Some e -> (
-        match Xrng.int w.rng 20 with
-        | 0 | 1 ->
-          (Emcall.User_enclave e.id, Types.Alloc { enclave = e.id; pages = 1 + Xrng.int w.rng 4 })
-        | 2 -> (
-          match e.regions with
-          | (base_vpn, pages) :: _ ->
-            (Emcall.User_enclave e.id, Types.Free { enclave = e.id; vpn = base_vpn; pages })
-          | [] -> (Emcall.User_enclave e.id, Types.Alloc { enclave = e.id; pages = 2 }))
-        | 3 ->
-          (* fault a page inside the growable window *)
-          let vpn =
-            w.layout.Enclave.heap_base
-            + Types.default_config.Types.heap_pages
-            + Xrng.int w.rng 8
-          in
-          (Emcall.Os_kernel, Types.Page_fault { enclave = e.id; vpn })
-        | 4 | 5 -> (
-          match e.phase with
-          | Measured -> (Emcall.Os_kernel, Types.Enter { enclave = e.id })
-          | Running ->
-            (Emcall.Os_kernel, Types.Interrupt { enclave = e.id; pc = 0xcafe; cause = 7 })
-          | Interrupted -> (Emcall.Os_kernel, Types.Resume { enclave = e.id })
-          | Loading -> (Emcall.Os_kernel, Types.Measure { enclave = e.id }))
-        | 6 -> (
-          match e.phase with
-          | Running | Interrupted -> (Emcall.User_enclave e.id, Types.Exit { enclave = e.id })
-          | _ -> (Emcall.Os_kernel, Types.Enter { enclave = e.id }))
-        | 7 ->
-          ( Emcall.User_enclave e.id,
-            Types.Attest { enclave = e.id; user_data = Bytes.of_string "verify" } )
-        | 8 -> (Emcall.Os_kernel, Types.Writeback { pages_hint = 4 + Xrng.int w.rng 8 })
-        | 9 ->
-          ( Emcall.User_enclave e.id,
-            Types.Shmget
-              { owner = e.id; pages = 1 + Xrng.int w.rng 3; max_perm = Types.Read_write } )
-        | 10 | 11 -> (
-          match (pick_opt w.rng e.owned, pick_opt w.rng w.fleet) with
-          | Some shm, Some grantee ->
-            ( Emcall.User_enclave e.id,
-              Types.Shmshr { owner = e.id; shm; grantee = grantee.id; perm = Types.Read_write }
-            )
-          | _ ->
-            ( Emcall.User_enclave e.id,
-              Types.Shmget { owner = e.id; pages = 2; max_perm = Types.Read_write } ))
-        | 12 | 13 -> (
-          let joinable =
-            List.filter
-              (fun s ->
-                List.mem e.id s.granted && not (List.mem e.id s.sattached))
-              w.shms
-          in
-          match pick_opt w.rng joinable with
-          | Some s ->
-            ( Emcall.User_enclave e.id,
-              Types.Shmat { enclave = e.id; shm = s.sid; requested_perm = Types.Read_write } )
-          | None ->
-            ( Emcall.User_enclave e.id,
-              Types.Attest { enclave = e.id; user_data = Bytes.of_string "verify" } ))
-        | 14 -> (
-          match pick_opt w.rng e.joined with
-          | Some shm -> (Emcall.User_enclave e.id, Types.Shmdt { enclave = e.id; shm })
-          | None -> (Emcall.User_enclave e.id, Types.Alloc { enclave = e.id; pages = 1 }))
-        | 15 -> (
-          let destroyable =
-            List.filter (fun s -> s.sowner = e.id && s.sattached = []) w.shms
-          in
-          match pick_opt w.rng destroyable with
-          | Some s -> (Emcall.User_enclave e.id, Types.Shmdes { owner = e.id; shm = s.sid })
-          | None -> (Emcall.Os_kernel, Types.Writeback { pages_hint = 6 }))
-        | 16 -> (Emcall.Os_kernel, Types.Destroy { enclave = e.id })
-        | _ -> abuse w))
-
-(* Fold one observed outcome back into the workload's bookkeeping. *)
-let absorb w (caller, request) result =
-  ignore caller;
-  let find_shm sid = List.find_opt (fun s -> s.sid = sid) w.shms in
-  let forget_enclave id =
-    drop w id;
-    List.iter
-      (fun s -> s.sattached <- List.filter (fun x -> x <> id) s.sattached)
-      w.shms;
-    w.shms <- List.filter (fun s -> not (s.sowner = id && s.sattached = [])) w.shms
-  in
-  match result with
-  | Error Emcall.Timeout -> (
-    (* unknowable outcome: stop trusting the target *)
-    match Hypertee_ems.Runtime.enclave_of_request request with
-    | Some id -> forget_enclave id
-    | None -> ())
-  | Error (Emcall.Cross_privilege | Emcall.Mailbox_full | Emcall.Busy) -> ()
-  | Ok ((Types.Err (Types.No_such_enclave | Types.Integrity_failure _)), _) -> (
-    match Hypertee_ems.Runtime.enclave_of_request request with
-    | Some id -> forget_enclave id
-    | None -> ())
-  | Ok ((Types.Err _), _) -> ()
-  | Ok (response, _) -> (
-    match (request, response) with
-    | Types.Create _, Types.Ok_created { enclave } ->
-      w.fleet <-
-        { id = enclave; phase = Loading; added = 0; regions = []; owned = []; joined = [] }
-        :: w.fleet
-    | Types.Add { enclave; _ }, Types.Ok_unit ->
-      List.iter (fun e -> if e.id = enclave then e.added <- e.added + 1) w.fleet
-    | Types.Measure { enclave }, Types.Ok_measure _ ->
-      List.iter (fun e -> if e.id = enclave then e.phase <- Measured) w.fleet
-    | (Types.Enter { enclave } | Types.Resume { enclave }), Types.Ok_entered _ ->
-      List.iter (fun e -> if e.id = enclave then e.phase <- Running) w.fleet
-    | Types.Interrupt { enclave; _ }, Types.Ok_unit ->
-      List.iter (fun e -> if e.id = enclave then e.phase <- Interrupted) w.fleet
-    | Types.Exit { enclave }, Types.Ok_unit ->
-      List.iter (fun e -> if e.id = enclave then e.phase <- Measured) w.fleet
-    | Types.Destroy { enclave }, Types.Ok_unit -> forget_enclave enclave
-    | Types.Alloc { enclave; _ }, Types.Ok_alloc { base_vpn; pages } ->
-      List.iter
-        (fun e -> if e.id = enclave then e.regions <- (base_vpn, pages) :: e.regions)
-        w.fleet
-    | Types.Free { enclave; _ }, Types.Ok_unit ->
-      List.iter
-        (fun e ->
-          if e.id = enclave then
-            e.regions <- (match e.regions with [] -> [] | _ :: tl -> tl))
-        w.fleet
-    | Types.Writeback _, Types.Ok_writeback _ ->
-      (* evictions invalidate every remembered EALLOC region *)
-      List.iter (fun e -> e.regions <- []) w.fleet
-    | Types.Shmget { owner; _ }, Types.Ok_shm { shm } ->
-      w.shms <- { sid = shm; sowner = owner; granted = [ owner ]; sattached = [] } :: w.shms;
-      List.iter (fun e -> if e.id = owner then e.owned <- shm :: e.owned) w.fleet
-    | Types.Shmshr { shm; grantee; _ }, Types.Ok_unit -> (
-      match find_shm shm with
-      | Some s -> if not (List.mem grantee s.granted) then s.granted <- grantee :: s.granted
-      | None -> ())
-    | Types.Shmat { enclave; shm; _ }, Types.Ok_shmat _ ->
-      (match find_shm shm with
-      | Some s -> s.sattached <- enclave :: s.sattached
-      | None -> ());
-      List.iter (fun e -> if e.id = enclave then e.joined <- shm :: e.joined) w.fleet
-    | Types.Shmdt { enclave; shm }, Types.Ok_unit ->
-      (match find_shm shm with
-      | Some s -> s.sattached <- List.filter (fun x -> x <> enclave) s.sattached
-      | None -> ());
-      List.iter
-        (fun e -> if e.id = enclave then e.joined <- List.filter (fun x -> x <> shm) e.joined)
-        w.fleet;
-      (* the EMS reaps an orphaned region on last detach; mirror it *)
-      w.shms <-
-        List.filter
-          (fun s ->
-            not
-              (s.sid = shm
-              && s.sattached = []
-              && not (List.exists (fun e -> e.id = s.sowner) w.fleet)))
-          w.shms
-    | Types.Shmdes { shm; _ }, Types.Ok_unit ->
-      w.shms <- List.filter (fun s -> s.sid <> shm) w.shms;
-      List.iter (fun e -> e.owned <- List.filter (fun x -> x <> shm) e.owned) w.fleet
-    | _ -> ())
+  if Xrng.int w.rng 20 < 3 then abuse w.rng (Traffic.enclaves w.traffic)
+  else Traffic.next w.traffic
 
 let drive platform w ~calls ~batch =
   let issued = ref 0 in
   while !issued < calls do
-    if batch > 1 && !issued mod 16 = 0 && w.fleet <> [] then begin
+    if batch > 1 && !issued mod 16 = 0 && Traffic.enclaves w.traffic <> [] then begin
       (* a doorbell batch of management traffic *)
       let k = min batch (calls - !issued) in
       let reqs = List.init k (fun _ -> next_request w) in
       let results = Platform.invoke_batch platform reqs in
-      List.iter2 (fun req result -> absorb w req result) reqs results;
+      List.iter2 (fun req result -> Traffic.absorb w.traffic req result) reqs results;
       issued := !issued + k
     end
     else begin
       let ((caller, request) as req) = next_request w in
       let result = Platform.invoke_timed platform ~caller request in
-      absorb w req result;
+      Traffic.absorb w.traffic req result;
       incr issued
     end
   done
-
-let make_world ~seed = {
-  rng = Xrng.create (Int64.add seed 23L);
-  fleet = [];
-  shms = [];
-  layout = Enclave.make_layout Types.default_config;
-}
 
 let oracle_replay ?(calls = 1200) ?(fault_rate = 0.0) ?(shards = 2) ?(seed = 0x76657269L)
     ?(deep = false) () =
@@ -293,7 +92,7 @@ let oracle_replay ?(calls = 1200) ?(fault_rate = 0.0) ?(shards = 2) ?(seed = 0x7
   let config = { Hypertee_arch.Config.default with Hypertee_arch.Config.ems_shards = shards } in
   let platform = Platform.create ~seed ~config ?faults () in
   let oracle = Platform.attach_oracle platform in
-  let w = make_world ~seed in
+  let w = make_workload ~seed in
   drive platform w ~calls ~batch:4;
   Platform.detach_oracle platform;
   let report = Platform.check ~deep platform in
@@ -317,7 +116,7 @@ let scenario_driver (s : Explorer.scenario) =
   in
   let platform = Platform.create ~seed:s.Explorer.seed ~config ?faults:(Explorer.plan_of s) () in
   let oracle = Platform.attach_oracle platform in
-  let w = make_world ~seed:s.Explorer.seed in
+  let w = make_workload ~seed:s.Explorer.seed in
   drive platform w ~calls:s.Explorer.ops ~batch:s.Explorer.batch;
   Platform.detach_oracle platform;
   let report = Platform.check platform in

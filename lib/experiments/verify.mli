@@ -1,16 +1,14 @@
 (** Correctness-verification experiment: the differential oracle and
     the invariant checker pointed at a live platform.
 
-    [oracle_replay] drives a seeded management workload — the full
-    lifecycle (ECREATE/EADD/EMEAS/EENTER/interrupt/ERESUME/EEXIT/
-    EDESTROY), dynamic memory (EALLOC/EFREE/EWB/page faults), the
-    whole shared-memory cycle (ESHMGET/ESHMSHR/ESHMAT/ESHMDT/
-    ESHMDES), attestation, batched doorbells, and deliberate abuse
-    (cross-privilege calls, forged senders, bogus arguments, unknown
-    ids) — with an oracle shadowing the gate, then sweeps the
-    invariants. [scenario_driver] adapts the same workload to the
-    interleaving explorer. [run] is the [hypertee check]
-    entry point. *)
+    [oracle_replay] drives a seeded management workload — {!Traffic}'s
+    plausible traffic (the full lifecycle, dynamic memory, writebacks,
+    attestation, the whole shared-memory cycle), batched doorbells,
+    and, interleaved with it, deliberate abuse (cross-privilege calls,
+    forged senders, bogus arguments, unknown ids) — with an oracle
+    shadowing the gate, then sweeps the invariants. [scenario_driver]
+    adapts the same workload to the interleaving explorer. [run] is
+    the [hypertee check] entry point. *)
 
 type outcome = {
   calls : int;  (** EMCalls the oracle observed *)

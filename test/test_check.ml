@@ -470,6 +470,127 @@ let test_oracle_replay_faulty () =
   if not (Invariant.ok o.Verify.report) then
     Alcotest.failf "invariants under faults: %s" (Invariant.report_to_string o.Verify.report)
 
+(* --- Oracle on a migrated, containment-fogged, two-shard platform ---
+
+   Each case replays one call sequence under an attached oracle; the
+   platform's answers are the ground truth. *)
+
+let two_shard_fleet ~seed n =
+  let platform =
+    Platform.create ~seed ~config:{ Config.default with Config.ems_shards = 2 } ()
+  in
+  let oracle = Platform.attach_oracle platform in
+  let fleet = List.init n (fun _ -> Result.get_ok (Sdk.launch platform small_image)) in
+  Alcotest.(check (list int)) "launched ids, odd ones on shard 0" (List.init n succ) fleet;
+  (platform, oracle)
+
+let as_enclave platform e request =
+  expect_ok (Types.opcode_name (Types.opcode_of_request request))
+    (Platform.invoke platform ~caller:(Emcall.User_enclave e) request)
+
+let shmget platform owner =
+  match as_enclave platform owner (Types.Shmget { owner; pages = 1; max_perm = Types.Read_write }) with
+  | Types.Ok_shm { shm } -> shm
+  | r -> Alcotest.failf "shmget: %s" (response_name r)
+
+let migrate platform ~enclave ~target =
+  match Platform.migrate platform ~enclave ~target with
+  | Platform.Migrated -> ()
+  | _ -> Alcotest.failf "migrating enclave %d failed" enclave
+
+let no_divergence oracle =
+  match Hypertee_check.Oracle.divergences oracle with
+  | [] -> ()
+  | d :: _ ->
+    Alcotest.failf "oracle diverged: %s" (Format.asprintf "%a" Hypertee_check.Oracle.pp_divergence d)
+
+(* Shared regions never migrate, so a shm id routes by its residue
+   class even when the enclave with the same number has moved. *)
+let test_oracle_shm_ids_ignore_migration () =
+  let platform, oracle = two_shard_fleet ~seed:0x5A1DL 4 in
+  let shm = shmget platform 3 in
+  Alcotest.(check int) "enclave 3's region is shm 1" 1 shm;
+  migrate platform ~enclave:1 ~target:1;
+  (match as_enclave platform 3 (Types.Shmdes { owner = 3; shm }) with
+  | Types.Ok_unit -> ()
+  | r -> Alcotest.failf "shmdes: %s" (response_name r));
+  no_divergence oracle
+
+(* After an unattributed containment, an ESHMSHR answered
+   No_such_enclave does not say which of its two enclaves is missing:
+   here it is the grantee, and the owner stays live. *)
+let test_oracle_shmshr_keeps_owner () =
+  let platform, oracle = two_shard_fleet ~seed:0xF06L 3 in
+  let runtime = Platform.Internals.runtime_of_shard platform 0 in
+  let mem = Platform.Internals.mem platform in
+  List.iter
+    (fun frame -> Phys_mem.write mem ~frame (Bytes.make Hypertee_util.Units.page_size 'X'))
+    (Ownership.frames_of (Runtime.ownership runtime) 3);
+  let contained = ref false in
+  for _ = 1 to 4 do
+    if not !contained then
+      match
+        Platform.invoke platform ~caller:Emcall.Os_kernel (Types.Writeback { pages_hint = 64 })
+      with
+      | Ok (Types.Err (Types.Integrity_failure _)) -> contained := true
+      | _ -> ()
+  done;
+  if not !contained then Alcotest.fail "corrupted enclave was never contained";
+  (match
+     as_enclave platform 1
+       (Types.Shmshr { owner = 1; shm = 1; grantee = 2; perm = Types.Read_write })
+   with
+  | Types.Err Types.No_such_enclave -> ()
+  | r -> Alcotest.failf "cross-shard shmshr: %s" (response_name r));
+  (match as_enclave platform 1 (Types.Alloc { enclave = 1; pages = 1 }) with
+  | Types.Ok_alloc _ -> ()
+  | r -> Alcotest.failf "alloc on the owner: %s" (response_name r));
+  no_divergence oracle
+
+(* Migrating a region's owner destroys the source copy, which reaps
+   the owner's regions nobody is attached to: a grantee left on the
+   source shard can no longer attach. *)
+let test_oracle_owner_migration_reaps_regions () =
+  let platform, oracle = two_shard_fleet ~seed:0x0DDL 3 in
+  ignore (shmget platform 1);
+  let shm = shmget platform 1 in
+  (match
+     as_enclave platform 1 (Types.Shmshr { owner = 1; shm; grantee = 3; perm = Types.Read_write })
+   with
+  | Types.Ok_unit -> ()
+  | r -> Alcotest.failf "shmshr: %s" (response_name r));
+  migrate platform ~enclave:1 ~target:1;
+  (match
+     as_enclave platform 3 (Types.Shmat { enclave = 3; shm; requested_perm = Types.Read_write })
+   with
+  | Types.Err Types.No_such_shm -> ()
+  | r -> Alcotest.failf "shmat after the owner left: %s" (response_name r));
+  no_divergence oracle
+
+(* --- EFREE is all or nothing (Svc_memory.handle_free) ---
+
+   A range running past the mapped pages used to unmap its leading
+   pages before failing, stranding their frames: released from the
+   ownership table, never given back to the pool. *)
+
+let test_partial_free_changes_nothing () =
+  let platform = Platform.create ~seed:0xF4EEL () in
+  let e = Result.get_ok (Sdk.launch platform small_image) in
+  let base_vpn =
+    match as_enclave platform e (Types.Alloc { enclave = e; pages = 2 }) with
+    | Types.Ok_alloc { base_vpn; _ } -> base_vpn
+    | r -> Alcotest.failf "alloc: %s" (response_name r)
+  in
+  (match as_enclave platform e (Types.Free { enclave = e; vpn = base_vpn; pages = 3 }) with
+  | Types.Err (Types.Invalid_argument_ _) -> ()
+  | r -> Alcotest.failf "free past the region: %s" (response_name r));
+  let report = Platform.check platform in
+  if not (Invariant.ok report) then
+    Alcotest.failf "invariants after a rejected free: %s" (Invariant.report_to_string report);
+  match as_enclave platform e (Types.Free { enclave = e; vpn = base_vpn; pages = 2 }) with
+  | Types.Ok_unit -> ()
+  | r -> Alcotest.failf "free of the intact region: %s" (response_name r)
+
 (* --- Interleaving explorer --- *)
 
 let test_explorer_deterministic () =
@@ -553,6 +674,14 @@ let suite =
           test_oracle_replay_clean;
         Alcotest.test_case "oracle: fault-injected replay has zero divergences" `Quick
           test_oracle_replay_faulty;
+        Alcotest.test_case "oracle: shm ids route by residue across migrations" `Quick
+          test_oracle_shm_ids_ignore_migration;
+        Alcotest.test_case "oracle: ambiguous ESHMSHR rejection keeps the owner" `Quick
+          test_oracle_shmshr_keeps_owner;
+        Alcotest.test_case "oracle: owner migration reaps unattached regions" `Quick
+          test_oracle_owner_migration_reaps_regions;
+        Alcotest.test_case "EFREE past the mapped range frees nothing" `Quick
+          test_partial_free_changes_nothing;
         Alcotest.test_case "explorer scenarios are seed-deterministic" `Quick
           test_explorer_deterministic;
         Alcotest.test_case "explorer scenario sample passes" `Quick test_explorer_scenarios_pass;

@@ -292,10 +292,18 @@ let test_audit_attribution () =
 
 (* --- the chaos scenario itself, one quick deterministic pass --- *)
 
+(* A short 2-shard point, plus 3-shard seeds long enough to send
+   shared-memory traffic across a post-recovery migration. *)
 let test_rolling_restart_clean () =
-  let r = Hypertee_experiments.Chaos.rolling_restart ~seed:0x7E57L ~ops:120 ~shards:2 () in
-  check Alcotest.int "every shard killed once" 2 (List.length r.Hypertee_experiments.Chaos.rounds);
-  check Alcotest.bool "rolling restart clean" true (Hypertee_experiments.Chaos.restart_clean r)
+  List.iter
+    (fun (seed, ops, shards) ->
+      let r = Hypertee_experiments.Chaos.rolling_restart ~seed ~ops ~shards () in
+      let label what = Printf.sprintf "seed %Ld: %s" seed what in
+      check Alcotest.int (label "every shard killed once") shards
+        (List.length r.Hypertee_experiments.Chaos.rounds);
+      check Alcotest.bool (label "rolling restart clean") true
+        (Hypertee_experiments.Chaos.restart_clean r))
+    ((0x7E57L, 120, 2) :: List.init 6 (fun i -> (Int64.of_int (i + 1), 400, 3)))
 
 (* Batched traffic across a full kill/recover cycle of every shard:
    the survivors keep answering while one shard is down, recovery

@@ -499,6 +499,20 @@ let test_zero_rate_plan_is_inert () =
   let zeroed = run (Some (Fault.uniform ~rate:0.0 ())) in
   check (Alcotest.list (Alcotest.float 0.0)) "bit-identical trace" bare zeroed
 
+(* One chaos sweep point each side of zero: the fault-free point
+   serves every request of the valid traffic, a faulty one still
+   drives integrity containment, and both leave a consistent
+   platform. *)
+let test_chaos_point_contains_faults () =
+  let module Chaos = Hypertee_experiments.Chaos in
+  let clean = Chaos.run_point ~seed:0xC4A05L ~fault_rate:0.0 ~ops:400 in
+  check (Alcotest.float 0.0) "rate 0: every request served" 1.0 clean.Chaos.success_rate;
+  check Alcotest.int "rate 0: no invariant violation" 0 clean.Chaos.invariant_violations;
+  let faulty = Chaos.run_point ~seed:0xC4A05L ~fault_rate:0.05 ~ops:400 in
+  check Alcotest.bool "rate 0.05: containment killed enclaves" true
+    (faulty.Chaos.enclaves_killed > 0);
+  check Alcotest.int "rate 0.05: no invariant violation" 0 faulty.Chaos.invariant_violations
+
 let fault_suite =
   ( "failures.injected",
     [
@@ -509,6 +523,8 @@ let fault_suite =
       Alcotest.test_case "integrity fault kills enclave, not platform" `Quick
         test_integrity_fault_kills_enclave_not_platform;
       Alcotest.test_case "zero-rate plan is inert" `Quick test_zero_rate_plan_is_inert;
+      Alcotest.test_case "chaos point: full service at 0, containment at 0.05" `Quick
+        test_chaos_point_contains_faults;
     ] )
 
 let suite = suite @ [ parking_suite; fault_suite ]

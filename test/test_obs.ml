@@ -443,6 +443,21 @@ let test_disabled_path_allocates_nothing () =
 
 (* ------------------------------------------------------------------ *)
 
+(* [hypertee metrics]: the registry covers both shards, and the
+   run's own end-of-run invariant sweep (which raises on a violation)
+   passes. *)
+let test_metrics_report_covers_shards () =
+  let devnull = open_out Filename.null in
+  let registry =
+    Fun.protect
+      ~finally:(fun () -> close_out devnull)
+      (fun () -> Hypertee_experiments.Tracing.metrics ~out:devnull ~ops:200 ())
+  in
+  let names = Metrics.names registry in
+  List.iter
+    (fun name -> check Alcotest.bool (name ^ " published") true (List.mem name names))
+    [ "shard0.sched.executed"; "shard1.sched.executed"; "emcall.latency_ns" ]
+
 let suite =
   [
     ( "obs",
@@ -461,5 +476,7 @@ let suite =
           test_traced_fig6_emits_reconciled_json;
         Alcotest.test_case "disabled path allocates nothing" `Quick
           test_disabled_path_allocates_nothing;
+        Alcotest.test_case "metrics report covers both shards" `Quick
+          test_metrics_report_covers_shards;
       ] );
   ]
