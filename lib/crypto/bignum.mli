@@ -5,7 +5,14 @@
     63-bit native ints. Provides exactly what the attestation stack
     needs: modular exponentiation for Diffie–Hellman and RSA-lite,
     Miller–Rabin for key generation, and modular inverse for RSA key
-    setup. Values are immutable. *)
+    setup. Values are immutable.
+
+    Addition, multiplication and division are schoolbook (Knuth's
+    Algorithm D for division): operands are 256–512 bits, where
+    asymptotically faster methods do not pay. {!mod_pow} uses
+    Montgomery multiplication with a fixed 4-bit exponent window;
+    {!mod_pow_reference} keeps the plain square-and-multiply so tests
+    and the perf guard can check and time the fast path against it. *)
 
 type t
 
@@ -59,8 +66,18 @@ val testbit : t -> int -> bool
 
 val is_even : t -> bool
 
-(** [mod_pow ~base ~exp ~modulus] by square-and-multiply. *)
+(** [mod_pow ~base ~exp ~modulus] is [base^exp mod modulus], by
+    Montgomery multiplication (CIOS) with a fixed 4-bit window. The
+    modulus must be odd: raises [Invalid_argument] on an even modulus
+    greater than 1 and [Division_by_zero] on zero; modulus 1 gives
+    zero. Every in-tree caller is odd (RSA n, p and q, the DH prime,
+    Miller–Rabin candidates). *)
 val mod_pow : base:t -> exp:t -> modulus:t -> t
+
+(** [mod_pow_reference] is the same function by right-to-left
+    square-and-multiply with [mul] and [rem], for any non-zero
+    modulus. Slow; kept as the oracle for {!mod_pow}. *)
+val mod_pow_reference : base:t -> exp:t -> modulus:t -> t
 
 (** [mod_inv a m] is the inverse of [a] modulo [m]; [None] when
     [gcd a m <> 1]. *)

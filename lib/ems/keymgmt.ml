@@ -2,6 +2,7 @@ type t = {
   mutable sk : bytes; (* symmetric root, 32 bytes *)
   ek : Hypertee_crypto.Rsa.keypair;
   ak : Hypertee_crypto.Rsa.keypair;
+  mutable ek_memo : (bytes * bytes) option; (* last (message, EK signature) *)
 }
 
 let provision rng =
@@ -13,11 +14,23 @@ let provision rng =
   let ak_seed = Hypertee_crypto.Hmac.derive ~ikm:sk ~salt ~info:"hypertee-ak-seed" 8 in
   let ak_rng = Hypertee_util.Xrng.create (Hypertee_util.Bytes_ext.get_u64_le ak_seed 0) in
   let ak = Hypertee_crypto.Rsa.generate ak_rng in
-  { sk; ek; ak }
+  { sk; ek; ak; ek_memo = None }
 
 let ek_public t = t.ek.Hypertee_crypto.Rsa.public
 let ak_public t = t.ak.Hypertee_crypto.Rsa.public
-let sign_with_ek t msg = Hypertee_crypto.Rsa.sign t.ek msg
+
+(* Every quote's EK signature covers the platform's constant
+   measurement and PKCS#1 v1.5 signing is deterministic, so one memo
+   entry signs the certificate once per platform. Copies keep the
+   memo immune to callers mutating what they passed or got back. *)
+let sign_with_ek t msg =
+  match t.ek_memo with
+  | Some (m, s) when Bytes.equal m msg -> Bytes.copy s
+  | _ ->
+    let s = Hypertee_crypto.Rsa.sign t.ek msg in
+    t.ek_memo <- Some (Bytes.copy msg, Bytes.copy s);
+    s
+
 let sign_with_ak t msg = Hypertee_crypto.Rsa.sign t.ak msg
 
 let derive t ~info ~context len =

@@ -6,7 +6,12 @@
     else is derived: the Attestation Key (AK) from SK and a salt,
     memory-encryption and sealing keys from SK and the enclave
     measurement. All derivation happens on EMS; CS never sees any of
-    these values. *)
+    these values.
+
+    The EK signs one thing, the platform measurement, which is
+    constant for a boot: that certificate is signed once per platform
+    and reused by every quote ({!sign_with_ek}). The AK signs each
+    quote body afresh. *)
 
 type t
 
@@ -20,7 +25,10 @@ val ek_public : t -> Hypertee_crypto.Rsa.public
 val ak_public : t -> Hypertee_crypto.Rsa.public
 (** Public half of the attestation key. *)
 
-(** [sign_with_ek t msg] — platform certificate signature. *)
+(** [sign_with_ek t msg] — platform certificate signature. The last
+    (message, signature) pair is memoised, so repeated calls with the
+    same message sign once; PKCS#1 v1.5 signing is deterministic, so
+    the result is byte-identical to signing afresh. *)
 val sign_with_ek : t -> bytes -> bytes
 
 (** [sign_with_ak t msg] — enclave quote signature. *)

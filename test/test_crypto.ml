@@ -338,6 +338,48 @@ let test_mod_pow () =
   check Alcotest.int "modpow" !expected
     (Bignum.to_int (Bignum.mod_pow ~base:(bn 3) ~exp:(bn 200) ~modulus:(bn m)))
 
+let test_mod_pow_even_modulus () =
+  List.iter
+    (fun m ->
+      Alcotest.check_raises (Bignum.to_hex m) (Invalid_argument "Bignum.mod_pow: even modulus")
+        (fun () -> ignore (Bignum.mod_pow ~base:(bn 3) ~exp:(bn 5) ~modulus:m)))
+    [ bn 2; bn 1000002; Bignum.shift_left Dh.p 1 ];
+  check Alcotest.int "the reference takes any modulus" 3
+    (Bignum.to_int (Bignum.mod_pow_reference ~base:(bn 3) ~exp:(bn 5) ~modulus:(bn 10)))
+
+(* The byte conversions against the per-byte shift-and-add definition,
+   and [to_bytes_be] as its inverse, padding and overflow included. *)
+let prop_bytes_roundtrip =
+  prop
+    (QCheck.Test.make ~name:"of_bytes_be/to_bytes_be roundtrip" ~count:300
+       QCheck.(pair (string_of_size Gen.(int_range 0 80)) (int_bound 8))
+       (fun (s, extra) ->
+         let b = Bytes.of_string s in
+         let v = Bignum.of_bytes_be b in
+         let by_shift =
+           Bytes.fold_left
+             (fun acc c -> Bignum.add (Bignum.shift_left acc 8) (bn (Char.code c)))
+             Bignum.zero b
+         in
+         let width = Stdlib.max 1 ((Bignum.bit_length v + 7) / 8) in
+         let minimal = Bignum.to_bytes_be v in
+         let padded = Bignum.to_bytes_be ~len:(width + extra) v in
+         let too_small =
+           Bignum.is_zero v
+           || (try
+                 ignore (Bignum.to_bytes_be ~len:(width - 1) v);
+                 false
+               with Invalid_argument msg -> msg = "Bignum.to_bytes_be: value too large for len")
+         in
+         Bignum.equal v by_shift
+         && Bytes.length minimal = width
+         && Bignum.equal v (Bignum.of_bytes_be minimal)
+         && Bytes.length padded = width + extra
+         && Bytes.equal (Bytes.sub padded extra width) minimal
+         && Bytes.for_all (fun c -> c = '\000') (Bytes.sub padded 0 extra)
+         && (Bytes.length b < width || Bytes.equal (Bignum.to_bytes_be ~len:(Bytes.length b) v) b)
+         && too_small))
+
 let test_mod_inv () =
   let r = rng () in
   let p = Bignum.generate_prime r ~bits:48 in
@@ -407,6 +449,22 @@ let test_rsa_sign_verify () =
   let tampered = Bytes.copy s in
   Bytes.set tampered 10 (Char.chr (Char.code (Bytes.get tampered 10) lxor 1));
   check Alcotest.bool "tampered signature" false (Rsa.verify kp.Rsa.public ~msg ~signature:tampered)
+
+(* CRT signing must reproduce the one-exponentiation signature byte
+   for byte, on several keys and messages. *)
+let test_rsa_sign_matches_reference () =
+  let r = rng () in
+  for k = 1 to 4 do
+    let kp = Rsa.generate r in
+    check Alcotest.bool "p * q = n" true
+      (Bignum.equal (Bignum.mul kp.Rsa.p kp.Rsa.q) kp.Rsa.public.Rsa.n);
+    List.iter
+      (fun msg ->
+        let msg = Bytes.of_string msg in
+        check Alcotest.bytes (Printf.sprintf "key %d" k) (Rsa.sign_reference kp msg)
+          (Rsa.sign kp msg))
+      [ ""; "a"; "platform measurement"; String.make 200 'x'; string_of_int k ]
+  done
 
 let test_rsa_wrong_key () =
   let r = rng () in
@@ -515,6 +573,8 @@ let suite =
         prop_ring_laws;
         prop_divmod;
         prop_shift;
+        Alcotest.test_case "mod_pow rejects an even modulus" `Quick test_mod_pow_even_modulus;
+        prop_bytes_roundtrip;
       ] );
     ( "crypto.dh",
       [
@@ -527,6 +587,7 @@ let suite =
         Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
         Alcotest.test_case "wrong key" `Quick test_rsa_wrong_key;
         Alcotest.test_case "public serialization" `Quick test_rsa_public_serialization;
+        Alcotest.test_case "sign = sign_reference" `Quick test_rsa_sign_matches_reference;
       ] );
     ("crypto.sigma", [ Alcotest.test_case "full flow" `Quick test_sigma_flow ]);
     ( "crypto.engine",

@@ -424,6 +424,66 @@ let test_quote_decode_garbage () =
      let b = Attest.quote_to_bytes q in
      Attest.quote_of_bytes (Bytes.sub b 0 (Bytes.length b - 3)) = None)
 
+(* The EK signature is memoised per message: quoting for platform
+   measurements A, B, A on one key store must sign each afresh when the
+   message changes. A memo that ignored the message would hand B the
+   certificate of A. *)
+let test_ek_memo_follows_measurement () =
+  let k = Keymgmt.provision (rng ()) in
+  let a = Bytes.make 32 'A' and b = Bytes.make 32 'B' in
+  let user_data = Bytes.of_string "memo" in
+  List.iter
+    (fun platform_measurement ->
+      let q = Attest.make_quote k ~platform_measurement ~enclave_measurement:em ~user_data in
+      check verdict "quote verifies under its own measurement" (Ok ())
+        (Attest.verify_quote ~ek:(Keymgmt.ek_public k) ~ak:(Keymgmt.ak_public k)
+           ~platform_measurement ~user_data (Attest.quote_to_bytes q)))
+    [ a; b; a ];
+  let s = Keymgmt.sign_with_ek k a in
+  Bytes.fill s 0 8 'z';
+  check Alcotest.bool "a caller mutating the signature cannot poison the memo" true
+    (Hypertee_crypto.Rsa.verify (Keymgmt.ek_public k) ~msg:a ~signature:(Keymgmt.sign_with_ek k a))
+
+(* SHA-256 of an EATTEST quote (and of the EK||AK public keys) from a
+   fixed-seed platform, recorded before CRT signing, Montgomery
+   [mod_pow] and the EK memo went in: keys and quotes are unchanged
+   byte for byte. The second EATTEST is served from the memo. *)
+let test_eattest_quote_pinned () =
+  let module Platform = Hypertee.Platform in
+  let module Emcall = Hypertee_cs.Emcall in
+  let platform = Platform.create ~seed:0x9A7EL () in
+  let digest b = Hypertee_util.Bytes_ext.to_hex (Hypertee_crypto.Sha256.digest b) in
+  let invoke caller request =
+    match Platform.invoke platform ~caller request with
+    | Ok response -> response
+    | Error _ -> Alcotest.fail "EMCall rejected"
+  in
+  let enclave =
+    match invoke Emcall.Os_kernel (Types.Create { config = Types.default_config }) with
+    | Types.Ok_created { enclave } -> enclave
+    | _ -> Alcotest.fail "ECREATE failed"
+  in
+  ignore
+    (invoke Emcall.Os_kernel
+       (Types.Add { enclave; vpn = 0x100; data = Bytes.make 64 'a'; executable = true }));
+  ignore (invoke Emcall.Os_kernel (Types.Measure { enclave }));
+  check Alcotest.string "EK || AK public keys"
+    "99ff8e881e6f39a7481364270417e58acf46927841ebd3f22dceb576fddf9fa0"
+    (digest
+       (Bytes.cat
+          (Hypertee_crypto.Rsa.public_to_bytes (Platform.ek_public platform))
+          (Hypertee_crypto.Rsa.public_to_bytes (Platform.ak_public platform))));
+  for i = 1 to 2 do
+    match
+      invoke (Emcall.User_enclave enclave)
+        (Types.Attest { enclave; user_data = Bytes.of_string "pinned quote" })
+    with
+    | Types.Ok_attest { quote } ->
+      check Alcotest.string (Printf.sprintf "EATTEST quote %d" i)
+        "d6ab81fb7f317a7da42123ae94400bd9eb4a9ee09f241f87dd01c870716d2699" (digest quote)
+    | _ -> Alcotest.fail "EATTEST failed"
+  done
+
 let test_seal_unseal () =
   let k = Keymgmt.provision (rng ()) in
   let m = Bytes.make 32 'm' in
@@ -561,6 +621,9 @@ let suite =
         Alcotest.test_case "verify_quote checks" `Quick test_verify_quote_checks;
         Alcotest.test_case "seal/unseal" `Quick test_seal_unseal;
         prop_seal_roundtrip;
+        Alcotest.test_case "EK memo follows the measurement" `Quick
+          test_ek_memo_follows_measurement;
+        Alcotest.test_case "EATTEST quote pinned" `Quick test_eattest_quote_pinned;
       ] );
     ( "ems.cost",
       [

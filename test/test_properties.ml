@@ -122,6 +122,31 @@ let prop_modpow_homomorphism =
          let rhs = rem (mul (mod_pow ~base:a ~exp:bb ~modulus:p) (mod_pow ~base:a ~exp:cc ~modulus:p)) p in
          equal lhs rhs))
 
+(* Montgomery [mod_pow] against square-and-multiply over odd moduli
+   of 1-520 bits (1-20 limbs), with the edges forced in one case in
+   two: modulus 1, base 0, base >= modulus, exponent 0 and 1. *)
+let prop_modpow_matches_reference =
+  prop
+    (QCheck.Test.make ~name:"mod_pow = mod_pow_reference (odd moduli)" ~count:300
+       QCheck.(
+         quad (string_of_size Gen.(int_range 1 65)) (string_of_size Gen.(int_range 0 65))
+           (string_of_size Gen.(int_range 0 66)) (int_bound 9))
+       (fun (m, b, e, edge) ->
+         let open Hypertee_crypto.Bignum in
+         let modulus = of_bytes_be (Bytes.of_string m) in
+         let modulus = if is_even modulus then add modulus one else modulus in
+         let base = of_bytes_be (Bytes.of_string b) and exp = of_bytes_be (Bytes.of_string e) in
+         let modulus, base, exp =
+           match edge with
+           | 0 -> (one, base, exp)
+           | 1 -> (modulus, zero, exp)
+           | 2 -> (modulus, add base modulus, exp)
+           | 3 -> (modulus, base, zero)
+           | 4 -> (modulus, base, one)
+           | _ -> (modulus, base, exp)
+         in
+         equal (mod_pow ~base ~exp ~modulus) (mod_pow_reference ~base ~exp ~modulus)))
+
 let prop_seal_binds_measurement =
   prop
     (QCheck.Test.make ~name:"sealed blobs never unseal under another measurement" ~count:25
@@ -181,5 +206,6 @@ let suite =
         prop_modpow_homomorphism;
         prop_seal_binds_measurement;
         prop_mailbox_binding;
+        prop_modpow_matches_reference;
       ] );
   ]
