@@ -21,13 +21,17 @@ chaos-smoke: build
 chaos-restart: build
 	dune exec bin/hypertee_cli.exe -- chaos --rolling --ops 400 --table CHAOS_restart.txt
 
-# Wall-clock MB/s microbenchmarks of the crypto data plane; writes
+# Host-time microbenchmarks of the crypto data plane; writes
 # BENCH_perf.json so the throughput trajectory is tracked across PRs.
-# Raw MB/s is machine-dependent, so `check` does not gate on it — but
-# the speedup-vs-reference ratios are portable, and the run fails if
-# any fresh ratio falls more than TOLERANCE percent below the
-# committed BENCH_perf.json (the baseline is read before the file is
-# rewritten). Override with e.g. `make bench-perf TOLERANCE=50`.
+# Every row is the median of single calls on the monotonic clock, and
+# the fast and reference sides of each speedup ratio are interleaved
+# call by call, so both see the same host. Raw MB/s is
+# machine-dependent, so `check` does not gate on it — but the ratios
+# are portable, and the run fails if any fresh ratio falls more than
+# TOLERANCE percent below the committed BENCH_perf.json, the modelled
+# p99 rises more than that above it, or a gated row goes missing (the
+# baseline is read before the file is rewritten). Override with e.g.
+# `make bench-perf TOLERANCE=50`.
 TOLERANCE ?= 30
 
 bench-perf: build

@@ -14,7 +14,7 @@
      trace <experiment>       traced run exported as Chrome trace_event JSON
      metrics                  platform metrics registry after a mixed workload
      conformance              secure-channel protocol conformance vectors
-     perf                     wall-clock data-plane benchmark and regression guard *)
+     perf                     host-time data-plane benchmark and regression guard *)
 
 open Cmdliner
 module Types = Hypertee_ems.Types
@@ -441,32 +441,35 @@ let metrics_cmd =
 
 let perf_cmd =
   let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Shorter measurement windows and sweep.")
+    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sampling budgets and sweep.")
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also write the samples as a JSON array to $(docv).")
+           ~doc:"Also write the samples to $(docv) as a JSON object: a host block and \
+                 the sample list.")
   in
   let baseline_arg =
     Arg.(
       value & opt (some non_dir_file) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Compare the fresh speedup-vs-reference ratios against the samples in $(docv) \
-             (a previously written perf JSON) and exit non-zero on a regression beyond the \
-             tolerance. Raw MB/s is not gated: it is machine-dependent, the ratios are \
-             not. A missing $(docv) is a command-line error.")
+            "Compare the fresh speedup-vs-reference ratios (a floor) and the modelled \
+             p99 latency (a ceiling) against the samples in $(docv) (a previously written \
+             perf JSON) and exit non-zero on a regression beyond the tolerance, or on a \
+             gated row of $(docv) the fresh run did not produce. Raw MB/s is not gated: it \
+             is machine-dependent, the ratios are not. A missing $(docv) is a command-line \
+             error.")
   in
   let tolerance_arg =
     Arg.(
       value & opt float 30.0
       & info [ "tolerance" ] ~docv:"PCT"
           ~doc:
-            "Allowed drop (percent) of a speedup ratio below the baseline before \
-             --baseline fails, absorbing benchmark noise.")
+            "Allowed drop (percent) of a speedup ratio below the baseline, or rise of the \
+             p99 latency above it, before --baseline fails, absorbing benchmark noise.")
   in
   let run quick json baseline tolerance =
-    Printf.printf "wall-clock data-plane benchmark (%s windows)\n"
+    Printf.printf "host-time data-plane benchmark (%s budgets, medians of single calls)\n"
       (if quick then "quick" else "full");
     (* Load the baseline up front: --json and --baseline may name the
        same file (refreshing the committed numbers while gating
@@ -488,21 +491,23 @@ let perf_cmd =
         Hypertee_experiments.Perf.compare_to_baseline ~baseline:base ~tolerance_pct:tolerance
           samples
       with
-      | [] ->
-        Printf.printf "perf guard: speedup ratios within %.0f%% of %s\n" tolerance path
+      | [] -> Printf.printf "perf guard: gated rows within %.0f%% of %s\n" tolerance path
       | regs ->
         List.iter
-          (fun r ->
-            Printf.printf "perf guard: REGRESSION %s %s: %.2fx -> %.2fx (tolerance %.0f%%)\n"
-              r.Hypertee_experiments.Perf.r_target r.Hypertee_experiments.Perf.r_metric
-              r.Hypertee_experiments.Perf.r_baseline r.Hypertee_experiments.Perf.r_current
-              tolerance)
+          (fun { Hypertee_experiments.Perf.r_target; r_metric; r_baseline; r_current } ->
+            match r_current with
+            | Some v ->
+              Printf.printf "perf guard: REGRESSION %s %s: %.2f -> %.2f (tolerance %.0f%%)\n"
+                r_target r_metric r_baseline v tolerance
+            | None ->
+              Printf.printf "perf guard: MISSING %s %s: %.2f in the baseline, not measured\n"
+                r_target r_metric r_baseline)
           regs;
         exit 1)
   in
   Cmd.v
     (Cmd.info "perf"
-       ~doc:"Wall-clock MB/s microbenchmarks of the crypto data plane")
+       ~doc:"Host-time microbenchmarks of the crypto data plane, medians of single calls")
     Term.(const run $ quick_arg $ json_arg $ baseline_arg $ tolerance_arg)
 
 let () =

@@ -550,17 +550,21 @@ let divisible_by_small_prime n =
   in
   go 0
 
+(* About ln(2^bits)/2 odd candidates are drawn per prime on average;
+   64 per bit is over 100 times that. A run that long means Miller–Rabin
+   rejects everything (a broken [mod_pow]), so fail instead of looping. *)
 let generate_prime rng ~bits =
   if bits < 2 then invalid_arg "Bignum.generate_prime: need >= 2 bits";
-  let rec go () =
+  let rec go tries =
+    if tries = 0 then failwith "Bignum.generate_prime: no prime found";
     let c = random rng ~bits in
     (* Force exact bit width and oddness. *)
     let c = add c (shift_left one (bits - 1)) in
     let c = if is_even c then add c one else c in
     let c = if bit_length c > bits then sub c (shift_left one bits) else c in
     let c = if bit_length c < bits then add c (shift_left one (bits - 1)) else c in
-    if (not (divisible_by_small_prime c)) && is_probably_prime rng c then c else go ()
+    if (not (divisible_by_small_prime c)) && is_probably_prime rng c then c else go (tries - 1)
   in
-  go ()
+  go (64 * bits)
 
 let pp fmt a = Format.pp_print_string fmt (to_hex a)

@@ -95,7 +95,9 @@ val random_below : Hypertee_util.Xrng.t -> t -> t
 val is_probably_prime : ?rounds:int -> Hypertee_util.Xrng.t -> t -> bool
 
 (** [generate_prime rng ~bits] draws random odd candidates of exactly
-    [bits] bits until one passes Miller–Rabin. *)
+    [bits] bits until one passes Miller–Rabin. Raises [Failure] after
+    [64 * bits] candidates, far past the expected count, so a broken
+    primality test fails instead of spinning. *)
 val generate_prime : Hypertee_util.Xrng.t -> bits:int -> t
 
 val pp : Format.formatter -> t -> unit

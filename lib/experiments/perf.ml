@@ -1,9 +1,10 @@
-(* Wall-clock microbenchmarks of the crypto data plane.
+(* Host-time microbenchmarks of the crypto data plane.
 
    Unlike every other experiment (which reports *modelled* time from
-   the cost model), this harness measures real elapsed time of the
+   the cost model), this harness measures the host time of the
    simulator's own hot paths, so the BENCH_perf.json trajectory shows
    whether the implementation is getting faster or slower across PRs.
+   Every row is a median of single calls timed by [Clock.sample].
    Numbers are machine-dependent by design; the speedup-vs-reference
    ratio is the portable signal. *)
 
@@ -17,6 +18,8 @@ module Bignum = Hypertee_crypto.Bignum
 module Phys_mem = Hypertee_arch.Phys_mem
 module Mem_encryption = Hypertee_arch.Mem_encryption
 module Table = Hypertee_util.Table
+module Stats = Hypertee_util.Stats
+module Clock = Hypertee_obs.Clock
 module Record = Hypertee_channel.Record
 module Wire = Hypertee_channel.Wire
 
@@ -28,6 +31,7 @@ type sample = {
   value : float;
   unit_ : string;
   runs : int;
+  iqr : float option;
 }
 
 (* Host provenance recorded alongside the samples: raw MB/s numbers
@@ -48,40 +52,33 @@ let host_info () =
     os_type = Sys.os_type;
   }
 
-(* Repeat [f] until at least [min_time] seconds elapse, growing the
-   repetition count geometrically; returns (ns per call, calls). *)
-let time_ns ~min_time f =
-  f () (* warmup, also JIT-free but faults in lazy pages/tables *);
-  let rec go reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= min_time then (dt *. 1e9 /. float_of_int reps, reps)
-    else
-      let guess =
-        if dt <= 0. then reps * 10
-        else int_of_float (ceil (float_of_int reps *. min_time *. 1.3 /. dt))
-      in
-      go (Stdlib.max (reps * 2) guess)
-  in
-  go 1
-
 let mb_per_s ~bytes ns = float_of_int bytes /. (ns /. 1e9) /. 1e6
 
-let throughput ~target ~min_time ~bytes f =
-  let ns, runs = time_ns ~min_time f in
-  { target; metric = "throughput"; value = mb_per_s ~bytes ns; unit_ = "MB/s"; runs }
-
-let latency ~target ~min_time f =
-  let ns, runs = time_ns ~min_time f in
-  { target; metric = "latency"; value = ns; unit_ = "ns/op"; runs }
+(* A measured row from one step's per-call ns: [`Bytes n] makes it a
+   throughput row in MB/s, [`Call] a latency row in ns/op. The value
+   is the median call and [iqr] the interquartile range, both in the
+   row's unit. *)
+let row ~target ~per stats =
+  let metric, unit_, of_ns =
+    match per with
+    | `Bytes bytes -> ("throughput", "MB/s", mb_per_s ~bytes)
+    | `Call -> ("latency", "ns/op", Fun.id)
+  in
+  let at p = of_ns (Stats.percentile stats p) in
+  {
+    target;
+    metric;
+    value = at 50.;
+    unit_;
+    runs = Stats.count stats;
+    iqr = Some (Float.abs (at 75. -. at 25.));
+  }
 
 let run ?(quick = false) ?min_time_s () =
   let min_time =
     match min_time_s with Some s -> s | None -> if quick then 0.05 else 0.25
   in
+  let budget_ns = int_of_float (min_time *. 1e9) in
   let key = Aes.expand (Bytes.init 16 (fun i -> Char.chr (0x40 + i))) in
   let page = Bytes.init page_size (fun i -> Char.chr ((i * 31) land 0xFF)) in
   let dst = Bytes.create page_size in
@@ -89,71 +86,60 @@ let run ?(quick = false) ?min_time_s () =
   Hypertee_util.Bytes_ext.set_u64_be tweak 8 7L;
   let samples = ref [] in
   let push s = samples := s :: !samples in
+  let measure ~target ~per f =
+    push (row ~target ~per (Clock.sample ~budget_ns [| Clock.timed f |]).(0))
+  in
   (* Each optimised primitive is measured next to its retained
      reference implementation; the ratio is the portable signal the
-     regression guard gates on (raw MB/s moves with the machine).
-     Throughput ratios are fast/reference, latency ratios
-     reference/fast, so a speedup is above 1 either way. *)
-  let push_speedup ~target ~fast ~reference =
-    push fast;
-    push reference;
+     regression guard gates on (raw MB/s moves with the machine). The
+     two sides are sampled together, one call each per round, so host
+     drift lands on both; the ratio is the reference median over the
+     fast median, above 1 for a speedup. *)
+  let speedup ~target ~per ~fast ~reference =
+    let stats = Clock.sample ~budget_ns [| fast; reference |] in
+    push (row ~target ~per stats.(0));
+    push (row ~target:(target ^ "-reference") ~per stats.(1));
     push
       {
         target;
         metric = "speedup-vs-reference";
-        value =
-          (if fast.metric = "latency" then reference.value /. fast.value
-           else fast.value /. reference.value);
+        value = Stats.percentile stats.(1) 50. /. Stats.percentile stats.(0) 50.;
         unit_ = "x";
-        runs = fast.runs;
+        runs = Stats.count stats.(0);
+        iqr = None;
       }
   in
   (* AES-CTR page encryption: the T-table data plane vs the retained
      pre-T-table reference, on the same 4 KiB page and tweak. *)
-  push_speedup ~target:"aes-ctr-page"
+  speedup ~target:"aes-ctr-page" ~per:(`Bytes page_size)
     ~fast:
-      (throughput ~target:"aes-ctr-page" ~min_time ~bytes:page_size (fun () ->
+      (Clock.timed (fun () ->
            Aes.encrypt_page_into key ~page_number:7 ~src:page ~src_off:0 ~dst ~dst_off:0
              page_size))
-    ~reference:
-      (throughput ~target:"aes-ctr-page-reference" ~min_time ~bytes:page_size (fun () ->
-           ignore (Aes.ctr_reference key ~nonce:tweak page)));
+    ~reference:(Clock.timed (fun () -> ignore (Aes.ctr_reference key ~nonce:tweak page)));
   (* SHA-256: one-shot page digest and a 64 KiB streaming feed, the
      shape of enclave measurement during Create_Enclave. *)
-  push
-    (throughput ~target:"sha256-page" ~min_time ~bytes:page_size (fun () ->
-         ignore (Sha256.digest page)));
+  measure ~target:"sha256-page" ~per:(`Bytes page_size) (fun () -> ignore (Sha256.digest page));
   let stream_pages = 16 in
   let stream_ctx = Sha256.init () in
-  push
-    (throughput ~target:"sha256-stream-64k" ~min_time ~bytes:(stream_pages * page_size)
-       (fun () ->
-         Sha256.reset stream_ctx;
-         for _ = 1 to stream_pages do
-           Sha256.feed_sub stream_ctx page ~off:0 ~len:page_size
-         done;
-         Sha256.finalize_into stream_ctx dst ~off:0));
+  measure ~target:"sha256-stream-64k" ~per:(`Bytes (stream_pages * page_size)) (fun () ->
+      Sha256.reset stream_ctx;
+      for _ = 1 to stream_pages do
+        Sha256.feed_sub stream_ctx page ~off:0 ~len:page_size
+      done;
+      Sha256.finalize_into stream_ctx dst ~off:0);
   (* HMAC and the SHA-3 paths behind sealing and the MEE MAC. *)
   let mac_key = Bytes.make 32 'K' in
-  push
-    (throughput ~target:"hmac-sha256-page" ~min_time ~bytes:page_size (fun () ->
-         ignore (Hmac.hmac ~key:mac_key page)));
+  measure ~target:"hmac-sha256-page" ~per:(`Bytes page_size) (fun () ->
+      ignore (Hmac.hmac ~key:mac_key page));
   (* SHA-3 / the MEE MAC: the unrolled lane-level permutation vs the
      retained int64-sponge reference (bit-identical digests/tags). *)
-  push_speedup ~target:"sha3-256-page"
-    ~fast:
-      (throughput ~target:"sha3-256-page" ~min_time ~bytes:page_size (fun () ->
-           ignore (Keccak.sha3_256 page)))
-    ~reference:
-      (throughput ~target:"sha3-256-page-reference" ~min_time ~bytes:page_size (fun () ->
-           ignore (Keccak.Reference.sha3_256 page)));
-  push_speedup ~target:"keccak-mac28-page"
-    ~fast:
-      (throughput ~target:"keccak-mac28-page" ~min_time ~bytes:page_size (fun () ->
-           ignore (Keccak.mac_28bit ~key:mac_key page)))
-    ~reference:
-      (throughput ~target:"keccak-mac28-page-reference" ~min_time ~bytes:page_size (fun () ->
-           ignore (Keccak.Reference.mac_28bit ~key:mac_key page)));
+  speedup ~target:"sha3-256-page" ~per:(`Bytes page_size)
+    ~fast:(Clock.timed (fun () -> ignore (Keccak.sha3_256 page)))
+    ~reference:(Clock.timed (fun () -> ignore (Keccak.Reference.sha3_256 page)));
+  speedup ~target:"keccak-mac28-page" ~per:(`Bytes page_size)
+    ~fast:(Clock.timed (fun () -> ignore (Keccak.mac_28bit ~key:mac_key page)))
+    ~reference:(Clock.timed (fun () -> ignore (Keccak.Reference.mac_28bit ~key:mac_key page)));
   (* MEE round trip: encrypt+MAC into DRAM, then verify+decrypt back —
      what every enclave page touch pays. The reference engine runs the
      reference sponge with the verified-line cache disabled: the
@@ -169,26 +155,20 @@ let run ?(quick = false) ?min_time_s () =
     Mem_encryption.read_range_into mee mem ~key_id:1 ~frame:3 ~off:0 ~len:page_size dst
       ~dst_off:0
   in
-  push_speedup ~target:"mee-store-load-page"
-    ~fast:
-      (throughput ~target:"mee-store-load-page" ~min_time ~bytes:(2 * page_size)
-         (store_load mee mem))
-    ~reference:
-      (throughput ~target:"mee-store-load-page-reference" ~min_time ~bytes:(2 * page_size)
-         (store_load mee_ref mem_ref));
+  speedup ~target:"mee-store-load-page" ~per:(`Bytes (2 * page_size))
+    ~fast:(Clock.timed (store_load mee mem))
+    ~reference:(Clock.timed (store_load mee_ref mem_ref));
   (* Read paths of an unmodified frame: hot rides the verified-line
      cache (AES only); cold flushes it first, so every read re-runs
      the sponge — the spread between the two is what the cache buys. *)
   Mem_encryption.write_page mee mem ~key_id:1 ~frame:5 page;
-  push
-    (throughput ~target:"mee-read-page-hot" ~min_time ~bytes:page_size (fun () ->
-         Mem_encryption.read_range_into mee mem ~key_id:1 ~frame:5 ~off:0 ~len:page_size dst
-           ~dst_off:0));
-  push
-    (throughput ~target:"mee-read-page-cold" ~min_time ~bytes:page_size (fun () ->
-         Mem_encryption.flush_mac_cache mee;
-         Mem_encryption.read_range_into mee mem ~key_id:1 ~frame:5 ~off:0 ~len:page_size dst
-           ~dst_off:0));
+  measure ~target:"mee-read-page-hot" ~per:(`Bytes page_size) (fun () ->
+      Mem_encryption.read_range_into mee mem ~key_id:1 ~frame:5 ~off:0 ~len:page_size dst
+        ~dst_off:0);
+  measure ~target:"mee-read-page-cold" ~per:(`Bytes page_size) (fun () ->
+      Mem_encryption.flush_mac_cache mee;
+      Mem_encryption.read_range_into mee mem ~key_id:1 ~frame:5 ~off:0 ~len:page_size dst
+        ~dst_off:0);
   (* End-to-end Create_Enclave: ECREATE + EADD of the image + EMEAS,
      measurement-dominated. *)
   let platform = Hypertee.Platform.create ~seed:0x9E2FL () in
@@ -198,123 +178,67 @@ let run ?(quick = false) ?min_time_s () =
       ~data:(Bytes.make (2 * page_size) 'd')
       ()
   in
-  push
-    (latency ~target:"create-enclave" ~min_time (fun () ->
-         match Hypertee.Sdk.launch platform image with
-         | Ok enclave -> (
-           match Hypertee.Sdk.destroy platform ~enclave with
-           | Ok () -> ()
-           | Error m -> failwith m)
-         | Error m -> failwith m));
+  let ok = function Ok v -> v | Error m -> failwith m in
+  measure ~target:"create-enclave" ~per:`Call (fun () ->
+      ok (Hypertee.Sdk.destroy platform ~enclave:(ok (Hypertee.Sdk.launch platform image))));
   (* Warm-pool fast path: client-perceived create latency. Each side
      times only the acquisition call (EWARM pop of a parked enclave
      vs the full cold ECREATE/EADD/EMEAS launch); the teardown that
-     recycles state for the next iteration — ERETIRE's security
-     rehash, the cold destroy's scrub — runs *between* timed
-     sections on both sides, mirroring the cloud driver where retire
-     happens at session end, off the create path. Both sides are
-     latency samples, so the speedup ratio is reference/fast. *)
-  let timed_section ~target step =
-    let _ : float = step () (* warmup *) in
-    let acc = ref 0.0 in
-    let n = ref 0 in
-    while (!acc < min_time && !n < 256) || !n < 3 do
-      acc := !acc +. step ();
-      incr n
-    done;
-    {
-      target;
-      metric = "latency";
-      value = !acc *. 1e9 /. float_of_int !n;
-      unit_ = "ns/op";
-      runs = !n;
-    }
-  in
-  (match Hypertee.Sdk.launch platform image with
-  | Ok e -> (
-    match Hypertee.Sdk.retire platform ~enclave:e with
-    | Ok () -> ()
-    | Error m -> failwith m)
-  | Error m -> failwith m);
-  let warm_create =
-    timed_section ~target:"cloud-warm-create" (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let r = Hypertee.Sdk.warm_launch platform image in
-        let dt = Unix.gettimeofday () -. t0 in
-        (match r with
-        | Ok (e, `Warm) -> (
-          match Hypertee.Sdk.retire platform ~enclave:e with
-          | Ok () -> ()
-          | Error m -> failwith m)
-        | Ok (_, `Cold) -> failwith "warm pool missed during benchmark"
-        | Error m -> failwith m);
-        dt)
-  in
-  let cold_create =
-    timed_section ~target:"cloud-warm-create-reference" (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let r = Hypertee.Sdk.launch platform image in
-        let dt = Unix.gettimeofday () -. t0 in
-        (match r with
-        | Ok enclave -> (
-          match Hypertee.Sdk.destroy platform ~enclave with
-          | Ok () -> ()
-          | Error m -> failwith m)
-        | Error m -> failwith m);
-        dt)
-  in
-  push_speedup ~target:"cloud-warm-create" ~fast:warm_create ~reference:cold_create;
+     recycles state for the next call — ERETIRE's security rehash,
+     the cold destroy's scrub — runs after the step has read the
+     clock, mirroring the cloud driver where retire happens at
+     session end, off the create path. *)
+  ok (Hypertee.Sdk.retire platform ~enclave:(ok (Hypertee.Sdk.launch platform image)));
+  speedup ~target:"cloud-warm-create" ~per:`Call
+    ~fast:(fun () ->
+      let t0 = Clock.now () in
+      let r = Hypertee.Sdk.warm_launch platform image in
+      let dt = Clock.now () - t0 in
+      (match ok r with
+      | e, `Warm -> ok (Hypertee.Sdk.retire platform ~enclave:e)
+      | _, `Cold -> failwith "warm pool missed during benchmark");
+      dt)
+    ~reference:(fun () ->
+      let t0 = Clock.now () in
+      let r = Hypertee.Sdk.launch platform image in
+      let dt = Clock.now () - t0 in
+      ok (Hypertee.Sdk.destroy platform ~enclave:(ok r));
+      dt);
   (* Secure-channel data plane (docs/PROTOCOL.md). chan-handshake is
      the full three-flight attested establishment through the gate —
      EATTEST/RSA-dominated. The record pair measures what the reused
      keyed-sponge state buys per record MAC: hot keeps the post-key
      state, cold re-absorbs the key every record (§3.3). *)
-  let listener =
-    match Hypertee.Sdk.launch platform image with
-    | Ok e -> e
-    | Error m -> failwith m
-  in
-  push
-    (latency ~target:"chan-handshake" ~min_time (fun () ->
-         match Hypertee.Secure_channel.establish platform ~listener () with
-         | Ok (client, server) ->
-           (match Hypertee.Secure_channel.close client with
-           | Ok () -> ()
-           | Error m -> failwith m);
-           (match Hypertee.Secure_channel.close server with
-           | Ok () -> ()
-           | Error m -> failwith m)
-         | Error m -> failwith m));
+  let listener = ok (Hypertee.Sdk.launch platform image) in
+  measure ~target:"chan-handshake" ~per:`Call (fun () ->
+      let client, server = ok (Hypertee.Secure_channel.establish platform ~listener ()) in
+      ok (Hypertee.Secure_channel.close client);
+      ok (Hypertee.Secure_channel.close server));
   (* The handshake's public-key work: an EATTEST signature (CRT over
      Montgomery mod_pow vs one square-and-multiply exponentiation
      modulo n) and a DH exponentiation in the 2^255-19 group. *)
   let rsa_key = Rsa.generate (Hypertee_util.Xrng.create 0x5161L) in
   let rsa_msg = Bytes.of_string "HTQUOTE1 platform and enclave measurement" in
-  push_speedup ~target:"rsa-sign"
-    ~fast:(latency ~target:"rsa-sign" ~min_time (fun () -> ignore (Rsa.sign rsa_key rsa_msg)))
-    ~reference:
-      (latency ~target:"rsa-sign-reference" ~min_time (fun () ->
-           ignore (Rsa.sign_reference rsa_key rsa_msg)));
+  speedup ~target:"rsa-sign" ~per:`Call
+    ~fast:(Clock.timed (fun () -> ignore (Rsa.sign rsa_key rsa_msg)))
+    ~reference:(Clock.timed (fun () -> ignore (Rsa.sign_reference rsa_key rsa_msg)));
   let dh = Dh.generate (Hypertee_util.Xrng.create 0xD4L) in
-  push_speedup ~target:"dh-mod-pow"
-    ~fast:
-      (latency ~target:"dh-mod-pow" ~min_time (fun () ->
-           ignore (Bignum.mod_pow ~base:Dh.g ~exp:dh.Dh.secret ~modulus:Dh.p)))
+  speedup ~target:"dh-mod-pow" ~per:`Call
+    ~fast:(Clock.timed (fun () ->
+         ignore (Bignum.mod_pow ~base:Dh.g ~exp:dh.Dh.secret ~modulus:Dh.p)))
     ~reference:
-      (latency ~target:"dh-mod-pow-reference" ~min_time (fun () ->
+      (Clock.timed (fun () ->
            ignore (Bignum.mod_pow_reference ~base:Dh.g ~exp:dh.Dh.secret ~modulus:Dh.p)));
   let rec_key = Bytes.init 16 (fun i -> Char.chr (0x60 + i)) in
   let rec_len = Wire.header_len + Wire.max_plaintext in
   let rec_buf = Bytes.init rec_len (fun i -> Char.chr ((i * 17) land 0xFF)) in
   let rec_tag = Bytes.create Wire.tag_len in
   let rec_keyed = Keccak.keyed_init ~key:rec_key in
-  push
-    (throughput ~target:"chan-record-mac-hot" ~min_time ~bytes:rec_len (fun () ->
-         Keccak.mac16_keyed_into rec_keyed rec_buf ~off:0 ~len:rec_len rec_tag ~tag_off:0));
-  push
-    (throughput ~target:"chan-record-mac-cold" ~min_time ~bytes:rec_len (fun () ->
-         let k = Keccak.keyed_init ~key:rec_key in
-         Keccak.mac16_keyed_into k rec_buf ~off:0 ~len:rec_len rec_tag ~tag_off:0));
+  measure ~target:"chan-record-mac-hot" ~per:(`Bytes rec_len) (fun () ->
+      Keccak.mac16_keyed_into rec_keyed rec_buf ~off:0 ~len:rec_len rec_tag ~tag_off:0);
+  measure ~target:"chan-record-mac-cold" ~per:(`Bytes rec_len) (fun () ->
+      let k = Keccak.keyed_init ~key:rec_key in
+      Keccak.mac16_keyed_into k rec_buf ~off:0 ~len:rec_len rec_tag ~tag_off:0);
   (* One 4 KiB message sealed, transported and opened by the record
      layer vs the retained reference seal path doing the *same unit of
      work* per chunk: reference AES-CTR plus the reference sponge MAC
@@ -330,20 +254,15 @@ let run ?(quick = false) ?min_time_s () =
   let ref_mac_key = Bytes.sub master 16 16 in
   let ref_nonce = Bytes.make 16 '\000' in
   let ref_out = Bytes.create page_size in
-  push_speedup ~target:"chan-record-seal"
+  let record_ok = function Ok v -> v | Error e -> failwith (Record.error_message e) in
+  speedup ~target:"chan-record-seal" ~per:(`Bytes page_size)
     ~fast:
-      (throughput ~target:"chan-record-seal" ~min_time ~bytes:page_size (fun () ->
-           match Record.seal_message writer page with
-           | Error e -> failwith (Record.error_message e)
-           | Ok segs ->
-             List.iter
-               (fun seg ->
-                 match Record.deliver reader seg with
-                 | Ok _ -> ()
-                 | Error e -> failwith (Record.error_message e))
-               segs))
+      (Clock.timed (fun () ->
+           List.iter
+             (fun seg -> ignore (record_ok (Record.deliver reader seg)))
+             (record_ok (Record.seal_message writer page))))
     ~reference:
-      (throughput ~target:"chan-record-seal-reference" ~min_time ~bytes:page_size (fun () ->
+      (Clock.timed (fun () ->
            let off = ref 0 in
            while !off < page_size do
              let n = Stdlib.min Wire.max_plaintext (page_size - !off) in
@@ -358,21 +277,13 @@ let run ?(quick = false) ?min_time_s () =
              Bytes.blit pt 0 ref_out !off n;
              off := !off + n
            done));
-  (* A fig6-style sweep end to end: wall-clock of the discrete-event
-     simulation the paper figures are built from. *)
+  (* A fig6-style sweep end to end: host time of one whole run of the
+     discrete-event simulation the paper figures are built from. *)
   let requests = if quick then 512 else 4096 in
-  let t0 = Unix.gettimeofday () in
-  ignore
-    (Fig6.run ~seed:0x516L ~cs_cores:4 ~ems_cores:2 ~ems_kind:Hypertee_arch.Config.Medium
-       ~requests);
-  push
-    {
-      target = "fig6-sweep";
-      metric = "wall-clock";
-      value = Unix.gettimeofday () -. t0;
-      unit_ = "s";
-      runs = requests;
-    };
+  measure ~target:"fig6-sweep" ~per:`Call (fun () ->
+      ignore
+        (Fig6.run ~seed:0x516L ~cs_cores:4 ~ems_cores:2 ~ems_kind:Hypertee_arch.Config.Medium
+           ~requests));
   (* p99 session latency at the saturation knee of a one-shard cloud
      sweep. Unlike the MB/s samples this is *modelled* virtual time —
      deterministic for the seed and machine-independent — so the
@@ -394,6 +305,7 @@ let run ?(quick = false) ?min_time_s () =
           value = p.Cloud.p99_ms;
           unit_ = "ms";
           runs = p.Cloud.completed;
+          iqr = None;
         }
     | None -> ())
   | [] -> ());
@@ -404,11 +316,18 @@ let find samples ~target ~metric =
 
 let print ?(out = stdout) samples =
   Table.print ~out
-    ~headers:[ "target"; "metric"; "value"; "unit"; "runs" ]
-    ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Left; Table.Right ]
+    ~headers:[ "target"; "metric"; "value"; "iqr"; "unit"; "runs" ]
+    ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Left; Table.Right ]
     (List.map
        (fun s ->
-         [ s.target; s.metric; Table.fmt_f ~digits:2 s.value; s.unit_; string_of_int s.runs ])
+         [
+           s.target;
+           s.metric;
+           Table.fmt_f ~digits:2 s.value;
+           Option.fold ~none:"-" ~some:(Table.fmt_f ~digits:2) s.iqr;
+           s.unit_;
+           string_of_int s.runs;
+         ])
        samples);
   match find samples ~target:"aes-ctr-page" ~metric:"speedup-vs-reference" with
   | Some s ->
@@ -429,8 +348,9 @@ let write_json ~path samples =
   List.iteri
     (fun i s ->
       Printf.fprintf oc
-        "    {\"target\": %S, \"metric\": %S, \"value\": %.6f, \"unit\": %S, \"runs\": %d}%s\n"
+        "    {\"target\": %S, \"metric\": %S, \"value\": %.6f, \"unit\": %S, \"runs\": %d%s}%s\n"
         s.target s.metric s.value s.unit_ s.runs
+        (Option.fold ~none:"" ~some:(Printf.sprintf ", \"iqr\": %.6f") s.iqr)
         (if i = n - 1 then "" else ","))
     samples;
   output_string oc "  ]\n}\n";
@@ -442,7 +362,7 @@ type regression = {
   r_target : string;
   r_metric : string;
   r_baseline : float;
-  r_current : float;
+  r_current : float option;
 }
 
 (* Line-based scan of our own emitter's output (both the current
@@ -468,39 +388,32 @@ let load_baseline ~path =
   close_in ic;
   List.rev !entries
 
-(* Gate the speedup-vs-reference ratios (as a floor: both sides of
-   each ratio run on the same machine in the same process, so the
-   ratio is stable across hosts, whereas raw MB/s gated against a
-   baseline file produced elsewhere would flap on every hardware
-   difference) and the modelled p99-latency samples (as a ceiling:
+(* Gate the baseline's speedup-vs-reference ratios (as a floor: both
+   sides of each ratio run on the same machine in the same process,
+   so the ratio is stable across hosts, whereas raw MB/s gated against
+   a baseline file produced elsewhere would flap on every hardware
+   difference) and its modelled p99-latency samples (as a ceiling:
    virtual time is deterministic for the seed, so any growth is a
    genuine cost-model or scheduling regression). A real data-plane
    regression shows up in the ratio — the reference implementations
-   don't get faster by accident. *)
+   don't get faster by accident. A gated row the fresh run lacks
+   regresses too: the guard fails closed when a row stops being
+   produced. *)
 let compare_to_baseline ~baseline ~tolerance_pct samples =
+  let tol = tolerance_pct /. 100. in
   List.filter_map
-    (fun s ->
-      let direction =
-        match s.metric with
-        | "speedup-vs-reference" -> Some `Floor
-        | "p99-latency" -> Some `Ceiling
+    (fun (target, metric, bv) ->
+      let regressed =
+        match metric with
+        | "speedup-vs-reference" -> Some (fun v -> bv > 0. && v < bv *. (1. -. tol))
+        | "p99-latency" -> Some (fun v -> bv > 0. && v > bv *. (1. +. tol))
         | _ -> None
       in
-      match direction with
+      match regressed with
       | None -> None
-      | Some dir -> (
-        match
-          List.find_opt (fun (t, m, (_ : float)) -> t = s.target && m = s.metric) baseline
-        with
-        | None -> None
-        | Some (_, _, bv) ->
-          let tol = tolerance_pct /. 100. in
-          let regressed =
-            match dir with
-            | `Floor -> bv > 0. && s.value < bv *. (1. -. tol)
-            | `Ceiling -> bv > 0. && s.value > bv *. (1. +. tol)
-          in
-          if regressed then
-            Some { r_target = s.target; r_metric = s.metric; r_baseline = bv; r_current = s.value }
-          else None))
-    samples
+      | Some regressed -> (
+        let current = Option.map (fun s -> s.value) (find samples ~target ~metric) in
+        match current with
+        | Some v when not (regressed v) -> None
+        | _ -> Some { r_target = target; r_metric = metric; r_baseline = bv; r_current = current }))
+    baseline

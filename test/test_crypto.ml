@@ -409,6 +409,23 @@ let test_generate_prime () =
   check Alcotest.bool "prime" true (Bignum.is_probably_prime r p);
   check Alcotest.bool "odd" false (Bignum.is_even p)
 
+(* Every width from 2 to 24 bits yields an odd prime of exactly that
+   width; primality is checked by trial division, independent of the
+   Miller–Rabin the generator uses. *)
+let test_generate_prime_small_widths () =
+  let r = rng () in
+  let is_prime n =
+    let rec go d = d * d > n || (n mod d <> 0 && go (d + 2)) in
+    n = 2 || (n > 2 && n land 1 = 1 && go 3)
+  in
+  for bits = 2 to 24 do
+    let p = Bignum.generate_prime r ~bits in
+    let label = Printf.sprintf "%d bits" bits in
+    check Alcotest.int (label ^ ": width") bits (Bignum.bit_length p);
+    check Alcotest.bool (label ^ ": odd") false (Bignum.is_even p);
+    check Alcotest.bool (label ^ ": prime") true (is_prime (Bignum.to_int p))
+  done
+
 let test_gcd () =
   check Alcotest.int "gcd" 6 (Bignum.to_int (Bignum.gcd (bn 48) (bn 18)));
   check Alcotest.int "gcd with zero" 5 (Bignum.to_int (Bignum.gcd (bn 5) Bignum.zero))
@@ -575,6 +592,8 @@ let suite =
         prop_shift;
         Alcotest.test_case "mod_pow rejects an even modulus" `Quick test_mod_pow_even_modulus;
         prop_bytes_roundtrip;
+        Alcotest.test_case "generate_prime: every small width" `Quick
+          test_generate_prime_small_widths;
       ] );
     ( "crypto.dh",
       [

@@ -296,7 +296,14 @@ let test_perf_run_and_json () =
   List.iter
     (fun s ->
       check Alcotest.bool (s.Perf.target ^ " positive") true (s.Perf.value > 0.0);
-      check Alcotest.bool (s.Perf.target ^ " ran") true (s.Perf.runs >= 1))
+      check Alcotest.bool (s.Perf.target ^ " ran") true (s.Perf.runs >= 1);
+      (* every timed row is a median of at least five calls, with its
+         interquartile range *)
+      if s.Perf.metric = "throughput" || s.Perf.metric = "latency" then begin
+        check Alcotest.bool (s.Perf.target ^ " >= 5 calls") true (s.Perf.runs >= 5);
+        check Alcotest.bool (s.Perf.target ^ " iqr") true
+          (match s.Perf.iqr with Some q -> q >= 0.0 | None -> false)
+      end)
     samples;
   List.iter
     (fun target ->
@@ -375,7 +382,17 @@ let test_perf_run_and_json () =
       baseline
   in
   check Alcotest.bool "inflated baseline: regression reported" true
-    (Perf.compare_to_baseline ~baseline:inflated ~tolerance_pct:30.0 samples <> [])
+    (Perf.compare_to_baseline ~baseline:inflated ~tolerance_pct:30.0 samples <> []);
+  (* A gated row the baseline has and the fresh run lacks fails the
+     guard: when the cloud sweep loses its knee, cloud-p99-at-knee is
+     not produced, and its ceiling must not pass by default. *)
+  let with_lost_row = baseline @ [ ("lost-knee-p99", "p99-latency", 12.0) ] in
+  check
+    Alcotest.(list string)
+    "missing gated row: regression reported" [ "lost-knee-p99" ]
+    (List.map
+       (fun r -> r.Perf.r_target)
+       (Perf.compare_to_baseline ~baseline:with_lost_row ~tolerance_pct:30.0 samples))
 
 (* The bulk pipelines are the per-page loop: [write_pages] leaves the
    same ciphertext in DRAM as [write_page] called frame by frame, and

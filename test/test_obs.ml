@@ -9,6 +9,7 @@
 open Hypertee
 module Trace = Hypertee_obs.Trace
 module Metrics = Hypertee_obs.Metrics
+module Clock = Hypertee_obs.Clock
 module Stats = Hypertee_util.Stats
 module Types = Hypertee_ems.Types
 module Emcall = Hypertee_cs.Emcall
@@ -458,6 +459,51 @@ let test_metrics_report_covers_shards () =
     (fun name -> check Alcotest.bool (name ^ " published") true (List.mem name names))
     [ "shard0.sched.executed"; "shard1.sched.executed"; "emcall.latency_ns" ]
 
+(* Clock.sample with fake steps: each step logs its index and returns
+   scripted ns, so the call order, the warmup, the stop rule and the
+   medians are exact. Every warmup returns 1 ms, far past the budgets
+   below: had it reached the stats or the budget, the medians or the
+   round counts would show it. *)
+let test_clock_sample_fake_steps () =
+  let log = ref [] in
+  let scripted i script =
+    let rest = ref script in
+    fun () ->
+      log := i :: !log;
+      match !rest with
+      | ns :: tl ->
+        rest := tl;
+        ns
+      | [] -> Alcotest.failf "step %d called past its script" i
+  in
+  let sample ~budget_ns per_call =
+    log := [];
+    let steps =
+      Array.mapi (fun i calls -> scripted i (1_000_000 :: calls)) per_call
+    in
+    let stats = Clock.sample ~budget_ns steps in
+    (stats, List.rev !log)
+  in
+  let round_robin rounds = List.concat (List.init (rounds + 1) (fun _ -> [ 0; 1 ])) in
+  (* A zero budget still runs 5 rounds, one call per step each, in
+     step order after one warmup call per step. *)
+  let stats, log = sample ~budget_ns:0 [| List.init 5 (fun _ -> 10); [ 35; 31; 34; 32; 33 ] |] in
+  check Alcotest.(list int) "warmup, then 0,1 round robin" (round_robin 5) log;
+  check Alcotest.int "5 calls of step 0" 5 (Stats.count stats.(0));
+  check Alcotest.int "5 calls of step 1" 5 (Stats.count stats.(1));
+  check (Alcotest.float 0.) "warmup not in the stats" 10. (Stats.max stats.(0));
+  check (Alcotest.float 0.) "median of step 0" 10. (Stats.percentile stats.(0) 50.);
+  check (Alcotest.float 0.) "median of step 1" 33. (Stats.percentile stats.(1) 50.);
+  (* 40 ns a round: a 400 ns budget is reached exactly by round 10,
+     and one more ns needs round 11. *)
+  let calls ns = List.init 11 (fun _ -> ns) in
+  let stats, log = sample ~budget_ns:400 [| calls 10; calls 30 |] in
+  check Alcotest.int "budget reached in round 10" 10 (Stats.count stats.(0));
+  check Alcotest.(list int) "10 rounds, round robin" (round_robin 10) log;
+  let stats, _ = sample ~budget_ns:401 [| calls 10; calls 30 |] in
+  check Alcotest.int "one ns more: round 11" 11 (Stats.count stats.(1));
+  check (Alcotest.float 0.) "median of step 1" 30. (Stats.percentile stats.(1) 50.)
+
 let suite =
   [
     ( "obs",
@@ -478,5 +524,6 @@ let suite =
           test_disabled_path_allocates_nothing;
         Alcotest.test_case "metrics report covers both shards" `Quick
           test_metrics_report_covers_shards;
+        Alcotest.test_case "clock sample with fake steps" `Quick test_clock_sample_fake_steps;
       ] );
   ]
